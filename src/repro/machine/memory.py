@@ -8,6 +8,12 @@ channel counters ``PM_MBA[0-7]_{READ,WRITE}_BYTES`` each see roughly
 the eight channels to recover total socket traffic — our PAPI layer
 exposes the same per-channel events so that summation happens in user
 code, exactly as on Summit.
+
+The controller deals transactions to the channels round-robin, one
+direction at a time, so it only needs to count them: after ``T``
+transactions every channel has had ``T // n`` and the first ``T % n``
+channels one more. Channel counters are derived from that count when
+read, never stored.
 """
 
 from __future__ import annotations
@@ -15,10 +21,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
-import numpy as np
-
 from ..errors import SimulationError
-from ..units import round_up
+from ..units import transactions
 
 
 @dataclasses.dataclass
@@ -37,22 +41,18 @@ class MemoryController:
             raise SimulationError("need at least one memory channel")
         self.n_channels = n_channels
         self.granule = granule
-        self.channels: List[ChannelCounters] = [
-            ChannelCounters() for _ in range(n_channels)
-        ]
-        # Round-robin cursors so that successive small transfers still
-        # spread across channels like hardware interleaving would.
-        self._read_cursor = 0
-        self._write_cursor = 0
+        # Transactions recorded so far, per direction.
+        self._read_txns = 0
+        self._write_txns = 0
 
     # ------------------------------------------------------------------
     def record_read(self, nbytes: int) -> None:
         """Record ``nbytes`` of read traffic (rounded up to granules)."""
-        self._record(nbytes, is_write=False)
+        self._read_txns += self._transactions(nbytes)
 
     def record_write(self, nbytes: int) -> None:
         """Record ``nbytes`` of write traffic (rounded up to granules)."""
-        self._record(nbytes, is_write=True)
+        self._write_txns += self._transactions(nbytes)
 
     def record(self, read_bytes: int = 0, write_bytes: int = 0) -> None:
         if read_bytes:
@@ -60,38 +60,36 @@ class MemoryController:
         if write_bytes:
             self.record_write(write_bytes)
 
-    def _record(self, nbytes: int, is_write: bool) -> None:
+    def _transactions(self, nbytes: int) -> int:
         if nbytes < 0:
             raise SimulationError("traffic cannot be negative")
-        if nbytes == 0:
-            return
-        nbytes = round_up(int(nbytes), self.granule)
-        n_txn = nbytes // self.granule
-        base, rem = divmod(n_txn, self.n_channels)
-        cursor = self._write_cursor if is_write else self._read_cursor
-        per_channel = np.full(self.n_channels, base, dtype=np.int64)
-        if rem:
-            idx = (cursor + np.arange(rem)) % self.n_channels
-            np.add.at(per_channel, idx, 1)
-        for ch, txns in zip(self.channels, per_channel):
-            if is_write:
-                ch.write_bytes += int(txns) * self.granule
-            else:
-                ch.read_bytes += int(txns) * self.granule
-        if is_write:
-            self._write_cursor = (cursor + rem) % self.n_channels
-        else:
-            self._read_cursor = (cursor + rem) % self.n_channels
+        return transactions(int(nbytes), self.granule)
 
     # ------------------------------------------------------------------
+    def channel_bytes(self, channel: int, is_write: bool) -> int:
+        """Bytes channel ``channel`` has counted in one direction."""
+        if not 0 <= channel < self.n_channels:
+            raise SimulationError(
+                f"channel {channel} out of range 0..{self.n_channels - 1}")
+        txns = self._write_txns if is_write else self._read_txns
+        full, rest = divmod(txns, self.n_channels)
+        return self.granule * (full + (channel < rest))
+
+    @property
+    def channels(self) -> List[ChannelCounters]:
+        """Fresh copies of every channel's counters."""
+        return [ChannelCounters(self.channel_bytes(ch, False),
+                                self.channel_bytes(ch, True))
+                for ch in range(self.n_channels)]
+
     @property
     def total_read_bytes(self) -> int:
-        return sum(ch.read_bytes for ch in self.channels)
+        return self._read_txns * self.granule
 
     @property
     def total_write_bytes(self) -> int:
-        return sum(ch.write_bytes for ch in self.channels)
+        return self._write_txns * self.granule
 
     def snapshot(self) -> List[ChannelCounters]:
         """Copy of all channel counters (for delta-based measurement)."""
-        return [dataclasses.replace(ch) for ch in self.channels]
+        return self.channels

@@ -15,7 +15,7 @@ for channels 0-7.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..errors import PrivilegeError, SimulationError
 from .memory import MemoryController
@@ -36,10 +36,18 @@ class NestCounterBlock:
     def __init__(self, socket_id: int, controller: MemoryController):
         self.socket_id = socket_id
         self._controller = controller
+        # Event name -> (channel, is_write); nest_event_names() lists
+        # each channel's READ event, then its WRITE event. Only these
+        # exact spellings resolve, so aliases such as
+        # ``PM_MBA01_READ_BYTES`` are rejected rather than opened.
+        names = nest_event_names(controller.n_channels)
+        self._events: Dict[str, Tuple[int, bool]] = {
+            name: (i // 2, i % 2 == 1) for i, name in enumerate(names)
+        }
 
     @property
     def event_names(self) -> List[str]:
-        return nest_event_names(self._controller.n_channels)
+        return list(self._events)
 
     def read_event(self, name: str, privileged: bool) -> int:
         """Read one counter value; raises unless ``privileged``.
@@ -53,31 +61,22 @@ class NestCounterBlock:
                 "reading nest (uncore) counters requires elevated "
                 "privileges; use the PCP component instead"
             )
-        parsed = self.parse_event(name)
-        channel = self._controller.channels[parsed["channel"]]
-        return channel.write_bytes if parsed["write"] else channel.read_bytes
+        return self._controller.channel_bytes(*self._resolve(name))
 
     def read_all(self, privileged: bool) -> Dict[str, int]:
         return {name: self.read_event(name, privileged)
-                for name in self.event_names}
+                for name in self._events}
 
     def parse_event(self, name: str) -> Dict[str, int]:
         """Parse ``PM_MBA{ch}_{READ|WRITE}_BYTES`` into its fields."""
-        if not name.startswith("PM_MBA") or not name.endswith("_BYTES"):
-            raise SimulationError(f"not a nest memory event: {name!r}")
-        body = name[len("PM_MBA"):-len("_BYTES")]
-        for direction, is_write in (("_READ", False), ("_WRITE", True)):
-            if body.endswith(direction):
-                ch_text = body[: -len(direction)]
-                break
-        else:
-            raise SimulationError(f"not a nest memory event: {name!r}")
-        try:
-            ch = int(ch_text)
-        except ValueError:
-            raise SimulationError(f"bad channel in event {name!r}") from None
-        if not 0 <= ch < self._controller.n_channels:
-            raise SimulationError(
-                f"channel {ch} out of range 0..{self._controller.n_channels - 1}"
-            )
+        ch, is_write = self._resolve(name)
         return {"channel": ch, "write": int(is_write)}
+
+    def _resolve(self, name: str) -> Tuple[int, bool]:
+        try:
+            return self._events[name]
+        except KeyError:
+            raise SimulationError(
+                f"not a nest memory event of this "
+                f"{self._controller.n_channels}-channel socket: {name!r}"
+            ) from None

@@ -19,10 +19,13 @@ from ..errors import PrivilegeError, SimulationError
 from ..machine.node import Node
 from .events import socket_of_cpu
 
+# Channel and cpu numbers are canonical ASCII decimals: ``\d`` would
+# also take other scripts' digits, and leading zeros would alias.
+_NUMBER = r"(?:0|[1-9][0-9]*)"
 _UNCORE_RE = re.compile(
-    r"^power9_nest_mba(?P<pmu_ch>\d+)::"
-    r"(?P<event>PM_MBA(?P<ev_ch>\d+)_(?P<dir>READ|WRITE)_BYTES)"
-    r"(?::cpu=(?P<cpu>\d+))?$"
+    rf"^power9_nest_mba(?P<pmu_ch>{_NUMBER})::"
+    rf"(?P<event>PM_MBA(?P<ev_ch>{_NUMBER})_(?P<dir>READ|WRITE)_BYTES)"
+    rf"(?::cpu=(?P<cpu>{_NUMBER}))?$"
 )
 
 

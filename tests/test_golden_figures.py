@@ -1,10 +1,12 @@
-"""Golden-figure regression: fig2-fig5 reproduce frozen fixtures.
+"""Golden-figure regression: every experiment reproduces its frozen fixture.
 
-The fixtures under ``tests/golden/`` were generated from the seed
-implementation *before* the concurrent PCP service layer landed. They
-must keep passing bit-exactly: the daemon-mediated measurement path may
-gain batching, caching and fault tolerance, but it must not perturb the
-traffic the paper's figures report.
+The fig2-fig5 fixtures under ``tests/golden/`` were generated from the
+seed implementation *before* the concurrent PCP service layer landed;
+the other tables and figures were frozen before the memory controller
+switched to closed-form channel accounting. They must keep passing
+bit-exactly: the measurement path may gain batching, caching, fault
+tolerance and faster bookkeeping, but it must not perturb the traffic
+the paper's figures report.
 """
 
 import json
@@ -12,10 +14,10 @@ import pathlib
 
 import pytest
 
-from repro.experiments import run_experiment
+from repro.experiments import all_experiments, run_experiment
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-FIGURES = ("fig2", "fig3", "fig4", "fig5")
+EXPERIMENTS = tuple(e.experiment_id for e in all_experiments())
 
 
 def _plain(cell):
@@ -24,7 +26,7 @@ def _plain(cell):
     return str(cell)
 
 
-@pytest.mark.parametrize("figure_id", FIGURES)
+@pytest.mark.parametrize("figure_id", EXPERIMENTS)
 def test_figure_matches_golden(figure_id):
     with open(GOLDEN_DIR / f"{figure_id}.json") as fh:
         golden = json.load(fh)
@@ -36,10 +38,10 @@ def test_figure_matches_golden(figure_id):
     assert len(rows) == len(golden["rows"])
     for i, (got, want) in enumerate(zip(rows, golden["rows"])):
         assert got == want, (
-            f"{figure_id} row {i} diverged from the frozen seed "
+            f"{figure_id} row {i} diverged from the frozen "
             f"measurement:\n got: {got}\nwant: {want}")
 
 
 def test_fixtures_cover_all_figures():
-    present = sorted(p.stem for p in GOLDEN_DIR.glob("*.json"))
-    assert present == sorted(FIGURES)
+    present = {p.stem for p in GOLDEN_DIR.glob("*.json")}
+    assert present == set(EXPERIMENTS)

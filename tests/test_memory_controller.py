@@ -78,3 +78,25 @@ class TestSnapshot:
         first = mc.total_read_bytes
         mc.record_read(64)
         assert mc.total_read_bytes > first
+
+    def test_channels_are_copies(self):
+        mc = MemoryController(n_channels=4)
+        mc.record_read(64 * 5)
+        mc.channels[0].read_bytes += 64
+        assert [ch.read_bytes for ch in mc.channels] == [128, 64, 64, 64]
+
+
+class TestChannelBytes:
+    def test_rounding_is_per_record(self):
+        # ceil(a) + ceil(b) != ceil(a + b): two 1-byte records are two
+        # transactions, on two channels.
+        mc = MemoryController(n_channels=8)
+        mc.record_read(1)
+        mc.record_read(1)
+        assert mc.total_read_bytes == 128
+        assert [mc.channel_bytes(ch, False) for ch in range(3)] == [64, 64, 0]
+
+    @pytest.mark.parametrize("channel", [-1, 8])
+    def test_out_of_range_rejected(self, channel):
+        with pytest.raises(SimulationError):
+            MemoryController(n_channels=8).channel_bytes(channel, False)

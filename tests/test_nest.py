@@ -7,6 +7,16 @@ from repro.machine.memory import MemoryController
 from repro.machine.nest import NestCounterBlock, nest_event_names
 
 
+#: Names that must not open a counter. The last five would each have
+#: aliased a real channel had the channel been parsed with ``int()``.
+REJECTED = [
+    "PM_MBA_READ_BYTES", "PM_MBA8_READ_BYTES", "PM_MBA0_READ",
+    "MBA0_READ_BYTES", "PM_MBA0_FLUSH_BYTES", "PM_MBAx_READ_BYTES",
+    "PM_MBA0_0_READ_BYTES", "PM_MBA+1_READ_BYTES", "PM_MBA 1_READ_BYTES",
+    "PM_MBA01_READ_BYTES", "PM_MBA\u0663_READ_BYTES",
+]
+
+
 @pytest.fixture
 def nest():
     return NestCounterBlock(0, MemoryController(n_channels=8))
@@ -32,13 +42,22 @@ class TestParsing:
         parsed = nest.parse_event("PM_MBA7_WRITE_BYTES")
         assert parsed == {"channel": 7, "write": 1}
 
-    @pytest.mark.parametrize("bad", [
-        "PM_MBA_READ_BYTES", "PM_MBA8_READ_BYTES", "PM_MBA0_READ",
-        "MBA0_READ_BYTES", "PM_MBA0_FLUSH_BYTES", "PM_MBAx_READ_BYTES",
-    ])
+    @pytest.mark.parametrize("bad", REJECTED)
     def test_parse_rejects(self, nest, bad):
         with pytest.raises(SimulationError):
             nest.parse_event(bad)
+
+    @pytest.mark.parametrize("bad", REJECTED)
+    def test_read_rejects(self, nest, bad):
+        with pytest.raises(SimulationError):
+            nest.read_event(bad, privileged=True)
+
+    def test_every_listed_name_parses_to_its_channel(self, nest):
+        for ch in range(8):
+            assert nest.parse_event(f"PM_MBA{ch}_READ_BYTES") == {
+                "channel": ch, "write": 0}
+            assert nest.parse_event(f"PM_MBA{ch}_WRITE_BYTES") == {
+                "channel": ch, "write": 1}
 
 
 class TestPrivilegeGate:

@@ -78,6 +78,21 @@ class TestParsing:
         with pytest.raises(SimulationError):
             parse_uncore_event(bad)
 
+    @pytest.mark.parametrize("alias", [
+        "power9_nest_mba\u0663::PM_MBA\u0663_READ_BYTES",
+        "power9_nest_mba03::PM_MBA3_READ_BYTES",
+        "power9_nest_mba3::PM_MBA03_READ_BYTES",
+        "power9_nest_mba3::PM_MBA3_READ_BYTES:cpu=03",
+        "power9_nest_mba3::PM_MBA3_READ_BYTES:cpu=\u0663",
+    ])
+    def test_non_canonical_numbers_rejected(self, alias):
+        # Each of these names a real channel/cpu in another spelling;
+        # a privileged user must not be able to open it either.
+        with pytest.raises(SimulationError):
+            parse_uncore_event(alias)
+        with pytest.raises(SimulationError):
+            open_uncore_event(Node(TELLICO, seed=1), alias)
+
 
 class TestPrivilege:
     def test_summit_open_denied(self):

@@ -129,6 +129,57 @@ class TestMemoryControllerProperties:
         counts = [ch.read_bytes for ch in mc.channels]
         assert max(counts) - min(counts) <= 64 * len(sizes)
 
+    @given(st.integers(1, 16), st.sampled_from([64, 128]),
+           st.lists(st.tuples(st.sampled_from(["read", "write", "record"]),
+                              st.integers(0, 1 << 20),
+                              st.integers(0, 1 << 20)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_channels_match_round_robin_dealing(self, n_channels, granule,
+                                                calls):
+        """Differential against an oracle that deals each transaction
+        to the next channel of its direction, round-robin."""
+        mc = MemoryController(n_channels=n_channels, granule=granule)
+        dealt = {False: [0] * n_channels, True: [0] * n_channels}
+        cursor = {False: 0, True: 0}
+
+        def deal(nbytes, is_write):
+            txns = -(-nbytes // granule)
+            # n_channels consecutive deals give every channel one
+            # granule and leave the cursor where it was.
+            full, rest = divmod(txns, n_channels)
+            counts = dealt[is_write]
+            for ch in range(n_channels):
+                counts[ch] += full * granule
+            for _ in range(rest):
+                counts[cursor[is_write]] += granule
+                cursor[is_write] = (cursor[is_write] + 1) % n_channels
+
+        for kind, a, b in calls:
+            if kind == "read":
+                mc.record_read(a)
+                deal(a, False)
+            elif kind == "write":
+                mc.record_write(a)
+                deal(a, True)
+            else:
+                mc.record(read_bytes=a, write_bytes=b)
+                deal(a, False)
+                deal(b, True)
+            assert [ch.read_bytes for ch in mc.channels] == dealt[False]
+            assert [ch.write_bytes for ch in mc.channels] == dealt[True]
+            assert mc.total_read_bytes == sum(dealt[False])
+            assert mc.total_write_bytes == sum(dealt[True])
+            snap = mc.snapshot()
+            assert [(ch.read_bytes, ch.write_bytes) for ch in snap] == list(
+                zip(dealt[False], dealt[True]))
+            # A returned copy is the caller's: mutating it leaves the
+            # controller's counts alone.
+            snap[0].read_bytes += granule
+            snap[-1].write_bytes += granule
+            assert [ch.read_bytes for ch in mc.snapshot()] == dealt[False]
+            assert [ch.write_bytes for ch in mc.snapshot()] == dealt[True]
+
 
 class TestPMNSProperties:
     @given(st.lists(
