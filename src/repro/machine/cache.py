@@ -28,8 +28,9 @@ Two access paths produce identical results (differential-tested):
   are all hits and are retired wholesale with array ops ("calm"
   sets); the remaining ("turbulent") sets are replayed exactly, in
   per-set program order, with runs of consecutive same-sector
-  accesses coalesced into single transitions. Only true
-  install/evict/write-back events remain in Python.
+  accesses coalesced into single transitions. Under LRU, reads the
+  stack property guarantees to hit are retired with array ops before
+  that replay, so mostly misses and writes remain in Python.
 
 Exactness of the split rests on two facts: replacement state is
 *per-set* (sets never interact), and a set with zero non-resident
@@ -426,7 +427,12 @@ class CacheSim:
         if size.size != n or is_write.size != n:
             raise SimulationError(
                 "access_batch columns must have equal lengths")
-        watch = np.unique(np.asarray(watch, dtype=np.int64))
+        watch = np.asarray(watch)
+        if watch.size and watch.dtype.kind not in "iu":
+            raise SimulationError(
+                f"watch must hold integer row indices, got dtype "
+                f"{watch.dtype}")
+        watch = np.unique(watch.astype(np.int64))
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
                  np.empty(0, dtype=bool))
         if n == 0:
@@ -504,14 +510,15 @@ class CacheSim:
                 pos = t0 + start + np.arange(chunk.size, dtype=np.int64)
                 if wpos is None:
                     hits += self._replay_exact(chunk, w, pos, lines,
-                                               _mod(lines, self.n_sets))
+                                               _mod(lines, self.n_sets),
+                                               complete=True)
                 else:
                     # No residency bitmap → the whole chunk replays
                     # exactly, so run-head capture alone covers every
                     # watched entry.
                     h, in_idx, rp, dp = self._replay_exact(
                         chunk, w, pos, lines, _mod(lines, self.n_sets),
-                        watch=cw_mask)
+                        watch=cw_mask, complete=True)
                     hits += h
                     slots = slot0 + np.searchsorted(wpos, in_idx)
                     res_out[slots] = rp
@@ -561,7 +568,7 @@ class CacheSim:
                 if wpos is None:
                     hits += self._replay_exact(
                         chunk[t_idx], w[t_idx], t0 + start + t_idx,
-                        lines[t_idx], sets_arr[t_idx])
+                        lines[t_idx], sets_arr[t_idx], complete=True)
                 else:
                     # Turbulent watched entries get exact run-head
                     # capture; the rest of the chunk is eviction-free
@@ -569,7 +576,7 @@ class CacheSim:
                     h, in_idx, rp, dp = self._replay_exact(
                         chunk[t_idx], w[t_idx], t0 + start + t_idx,
                         lines[t_idx], sets_arr[t_idx],
-                        watch=cw_mask[t_idx])
+                        watch=cw_mask[t_idx], complete=True)
                     hits += h
                     slots = slot0 + np.searchsorted(wpos, t_idx[in_idx])
                     res_out[slots] = rp
@@ -653,18 +660,36 @@ class CacheSim:
             line = self._sets[tag % self.n_sets][tag]
             line.dirty_mask |= 1 << (sid % spl)
 
-    def _replay_exact(self, sec, w, pos, lines, sets_arr, watch=None):
-        """Replay turbulent-set accesses exactly, in per-set program
-        order, coalescing runs of consecutive same-sector touches.
+    def _replay_exact(self, sec, w, pos, lines, sets_arr, watch=None,
+                      complete=False):
+        """Replay accesses exactly, in per-set program order,
+        coalescing runs of consecutive same-sector touches.
+
+        ``complete`` declares that the inputs hold *every* entry of
+        their sets for the chunk (the turbulent-set and no-bitmap
+        replays; not the eviction-free first-touch replay, which
+        passes a subset). Under LRU such a call first retires, with
+        array ops, every read the LRU stack property guarantees to
+        hit (:meth:`_guaranteed_hits`); only the remaining entries
+        reach the Python loop, and each kept entry's recency stamp
+        carries the positions of the retired reads after it. The loop
+        therefore raises ``last_use`` by max and never lowers it.
+        Victims are the minimum ``last_use`` in dict order, after the
+        set's first eviction of the call folded the dense overlay
+        into its stamps (the values :meth:`_effective_last_use`
+        reads). Traffic, hit/miss counts, final line state and
+        replacement order equal the unretired replay's (DESIGN.md
+        §6.1).
 
         Returns the number of hits (misses/traffic are applied to the
         simulator directly). With ``watch`` (boolean mask over the
-        input entries) additionally returns ``(hits, in_idx, res_pre,
-        dirty_pre)``: for each watched entry (``in_idx`` indexes the
-        inputs) the sector state just before that entry executed —
-        the run head's pre-mutation state captured in the loop,
-        promoted to resident for non-head run members (the head
-        fetched the sector) and to dirty after an earlier same-run
+        input entries; watched entries are never retired)
+        additionally returns ``(hits, in_idx, res_pre, dirty_pre)``:
+        for each watched entry (``in_idx`` indexes the inputs) the
+        sector state just before that entry executed — the run head's
+        pre-mutation state captured in the loop, promoted to resident
+        for non-head run members (the head fetched the sector, and
+        only hits lie between) and to dirty after an earlier same-run
         write.
         """
         order = np.argsort(sets_arr, kind="stable")
@@ -676,6 +701,19 @@ class CacheSim:
             return 0 if watch is None else (0,) + _ew
         w = w[order]
         pos = pos[order]
+        retired = 0
+        if complete and self.policy == "lru":
+            kept = self._guaranteed_hits(
+                sec, w, pos, lines[order],
+                None if watch is None else watch[order])
+            if kept is not None:
+                keep, pos = kept
+                order = order[keep]
+                sec = sec[keep]
+                w = w[keep]
+                pos = pos[keep]
+                retired = n - sec.size
+                n = sec.size
         # A run = consecutive equal sector ids inside one set's
         # subsequence. Equal sector ids imply equal set, so a sector
         # change is the only boundary needed.
@@ -710,10 +748,11 @@ class CacheSim:
         dbitmap = self._dirty_bitmap if self._dirty_active else None
         assoc = self.assoc
         granule = self.granule
-        hits = 0
+        hits = retired
         misses = 0
         fetches = 0
         writebacks = 0
+        folded = set()
         for ri, (sid, tag, st, sct, anyw, ln, hp, lp) in enumerate(zip(
                 run_sec.tolist(), run_tag.tolist(), run_set.tolist(),
                 run_sector.tolist(), any_w.tolist(), lengths.tolist(),
@@ -729,7 +768,7 @@ class CacheSim:
                         run_dirty[ri] = True
             if line is not None and line.valid_mask & bit:
                 hits += ln
-                if lru:
+                if lru and lp > line.last_use:
                     line.last_use = lp
                 if anyw:
                     line.dirty_mask |= bit
@@ -742,11 +781,15 @@ class CacheSim:
             hits += ln - 1
             if line is None:
                 if len(cache_set) >= assoc:
-                    victim_tag = min(
-                        cache_set,
-                        key=lambda t: self._effective_last_use(
-                            t, cache_set[t]),
-                    )
+                    if st not in folded:
+                        folded.add(st)
+                        self._fold_overlay(cache_set)
+                    victim_tag = None
+                    for t, cand in cache_set.items():
+                        lu = cand.last_use
+                        if victim_tag is None or lu < victim_lu:
+                            victim_tag = t
+                            victim_lu = lu
                     victim = cache_set.pop(victim_tag)
                     mask = victim.dirty_mask
                     while mask:
@@ -769,7 +812,7 @@ class CacheSim:
                 line = _Line()
                 line.last_use = lp if lru else hp
                 cache_set[tag] = line
-            elif lru:
+            elif lru and lp > line.last_use:
                 line.last_use = lp
             fetches += 1
             line.valid_mask |= bit
@@ -795,6 +838,68 @@ class CacheSim:
         in_run_w = (cw[wsorted] - cw[starts[runs_of]]) > 0
         dirty_pre = run_dirty[runs_of] | in_run_w
         return hits, order[wsorted], res_pre, dirty_pre
+
+    def _guaranteed_hits(self, sec, w, pos, lines, watched):
+        """Reads LRU guarantees to hit, among entries in per-set
+        program order that hold every entry of their sets for the
+        chunk.
+
+        A line-run is a maximal block of consecutive same-line
+        entries. A read whose previous same-sector entry lies at most
+        ``assoc`` line-runs earlier is a hit: that entry left the
+        sector valid and its line most recently used, and evicting
+        the line takes ``assoc`` distinct other lines of the set
+        touched since, while at most ``assoc - 1`` line-runs lie
+        between. Writes and ``watched`` entries stay in the loop.
+
+        Returns ``None`` when nothing is retired, else ``(keep,
+        stamps)``: the mask of entries the loop must replay, and
+        ``pos`` with each kept entry's stamp raised to the position
+        of the last retired read of its sector before the next kept
+        one.
+        """
+        n = sec.size
+        new_run = np.empty(n, dtype=bool)
+        new_run[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=new_run[1:])
+        line_run = np.cumsum(new_run)
+        # Stable by sector: each sector's entries in program order.
+        by_sec = np.argsort(sec, kind="stable")
+        s_sec = sec[by_sec]
+        s_run = line_run[by_sec]
+        retire = np.zeros(n, dtype=bool)
+        np.equal(s_sec[1:], s_sec[:-1], out=retire[1:])
+        retire[1:] &= s_run[1:] - s_run[:-1] <= self.assoc
+        retire &= ~w[by_sec]
+        if watched is not None:
+            retire &= ~watched[by_sec]
+        if not retire.any():
+            return None
+        # A sector's first entry is never retired, so every retired
+        # entry has a kept anchor earlier in its sector's sequence.
+        anchor = np.maximum.accumulate(
+            np.where(retire, 0, np.arange(n, dtype=np.int64)))
+        last = retire.copy()
+        last[:-1] &= ~retire[1:]
+        stamps = pos.copy()
+        stamps[by_sec[anchor[last]]] = pos[by_sec[last]]
+        keep = np.ones(n, dtype=bool)
+        keep[by_sec[retire]] = False
+        return keep, stamps
+
+    def _fold_overlay(self, cache_set: Dict[int, _Line]) -> None:
+        """Raise each line's stamp to its dense-overlay stamp, so the
+        plain ``last_use`` equals :meth:`_effective_last_use`. Exact
+        for the rest of a replay call: the overlay only changes after
+        the chunk's replays."""
+        lud = self._lu_dense
+        if lud is None:
+            return
+        tags = [t for t in cache_set if 0 <= t < lud.size]
+        for t, stamp in zip(tags, lud[tags].tolist()):
+            line = cache_set[t]
+            if stamp > line.last_use:
+                line.last_use = stamp
 
     # -- bypassed stores (write-combining buffer) ----------------------
     def _bypass_batch(self, c_addr: np.ndarray, c_size: np.ndarray) -> None:
@@ -964,6 +1069,8 @@ class CacheSim:
         is about to see — the information a PEBS/SPE sample record
         carries for free in hardware.
         """
+        if size <= 0:
+            raise SimulationError(f"probe size must be positive, got {size}")
         out: List[Tuple[bool, bool]] = []
         end = addr + size
         while addr < end:

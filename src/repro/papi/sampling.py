@@ -320,6 +320,8 @@ class SamplingObserver:
         self.records_dropped = 0
         self.skid_dropped = 0
         self.slices = 0
+        #: Segments the span guard sent to the slice-per-sample replay.
+        self.span_guard_fallbacks = 0
         self._bypass_cache: Tuple[int, Optional[np.ndarray]] = (-1, None)
         self.finished = False
 
@@ -348,6 +350,7 @@ class SamplingObserver:
                 # CacheSim.access_batch_probed. Replay such segments
                 # through the slice path; trigger state is unaffected
                 # since both collectors make the same RNG draws.
+                self.span_guard_fallbacks += 1
                 self._replay_slices(segment, addr, size, is_write,
                                     byp, base, srows, smask)
             else:
@@ -796,4 +799,5 @@ class SamplingObserver:
             "records_dropped": self.records_dropped,
             "skid_dropped": self.skid_dropped,
             "replay_slices": self.slices,
+            "span_guard_fallbacks": self.span_guard_fallbacks,
         }

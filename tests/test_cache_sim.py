@@ -1,5 +1,6 @@
 """Exact sectored cache simulator: hits, misses, traffic accounting."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -161,3 +162,32 @@ class TestLifecycle:
         out = c.reset_traffic()
         assert out.read_bytes == 64
         assert c.traffic.read_bytes == 0
+
+
+class TestProbeValidation:
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_probe_rejects_nonpositive_size(self, size):
+        c = small_cache()
+        with pytest.raises(SimulationError, match="size"):
+            c.probe(0, size)
+
+    @pytest.mark.parametrize("watch", [
+        np.array([True, False]),  # a mask, not row indices
+        [1.9],
+        np.array([0.0]),
+    ], ids=["bool-mask", "float-list", "float-array"])
+    def test_probed_batch_rejects_non_integer_watch(self, watch):
+        c = small_cache()
+        with pytest.raises(SimulationError, match="watch"):
+            c.access_batch_probed(np.array([0, 64]), np.array([8, 8]),
+                                  np.array([False, True]), watch)
+        assert c.stats_hits == c.stats_misses == 0
+
+    def test_probed_batch_accepts_integer_watch(self):
+        c = small_cache()
+        rows, resident, dirty = c.access_batch_probed(
+            np.array([0, 8]), np.array([8, 8]), np.array([True, False]),
+            np.array([1], dtype=np.uint8))
+        assert rows.tolist() == [1]
+        assert resident.tolist() == [True]
+        assert dirty.tolist() == [True]

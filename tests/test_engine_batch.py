@@ -167,6 +167,114 @@ class TestBatchDifferential:
 
 
 # ----------------------------------------------------------------------
+# adversarial turbulent-set replay
+# ----------------------------------------------------------------------
+def _reuse_trace(rng, cfg, n, write_frac, base):
+    """``n`` accesses drawn from a pool of 1-3x the cache's lines, so
+    every set both reuses and evicts lines within a chunk; offsets
+    and sizes cross sector and line boundaries. A negative ``base``
+    puts the trace outside the residency bitmap's window."""
+    n_lines = cfg.n_lines
+    pool_size = int(rng.integers(n_lines, 3 * n_lines + 1))
+    pool = rng.choice(8 * pool_size, size=pool_size, replace=False)
+    line = pool[rng.integers(0, pool_size, n)]
+    addr = (base + line * cfg.line_bytes
+            + rng.integers(0, cfg.line_bytes, n))
+    size = rng.integers(1, cfg.line_bytes + cfg.granule_bytes, n)
+    w = rng.random(n) < write_frac
+    return addr.astype(np.int64), size.astype(np.int64), w
+
+
+adversarial_cache = st.builds(
+    lambda assoc, n_sets: CacheConfig(
+        capacity_bytes=128 * assoc * n_sets, associativity=assoc),
+    st.sampled_from([1, 2, 3, 4, 8]), st.integers(1, 8))
+#: Bitmap path, or the no-bitmap replay of negative addresses.
+trace_base = st.sampled_from([0, -(1 << 40)])
+
+
+class TestTurbulentReplayAdversarial:
+    """High-reuse traces on tiny caches: every chunk mixes guaranteed
+    hits with evictions in the same set, and the trace is split over
+    two calls so recency stamps of the first call reach the second
+    through the dense overlay."""
+
+    @given(cfg=adversarial_cache,
+           seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 400),
+           write_frac=st.floats(0.0, 0.5),
+           chunk=st.integers(5, 300),
+           policy=st.sampled_from(["lru", "fifo"]),
+           base=trace_base)
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_scalar_oracle(self, cfg, seed, n, write_frac,
+                                         chunk, policy, base):
+        rng = np.random.default_rng(seed)
+        addr, size, w = _reuse_trace(rng, cfg, n, write_frac, base)
+        oracle = CacheSim(cfg, policy=policy)
+        scalar_replay(oracle, addr, size, w, np.zeros(n, dtype=bool))
+        batch = CacheSim(cfg, policy=policy)
+        cut = int(rng.integers(0, n + 1))
+        batch.access_batch(addr[:cut], size[:cut], w[:cut],
+                           chunk_size=chunk)
+        batch.access_batch(addr[cut:], size[cut:], w[cut:],
+                           chunk_size=chunk)
+        assert full_state(batch) == full_state(oracle)
+
+    @given(cfg=adversarial_cache,
+           seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 300),
+           write_frac=st.floats(0.0, 0.5),
+           chunk=st.integers(5, 300),
+           base=trace_base)
+    @settings(max_examples=60, deadline=None)
+    def test_probed_matches_probe_before_row(self, cfg, seed, n,
+                                             write_frac, chunk, base):
+        rng = np.random.default_rng(seed)
+        addr, size, w = _reuse_trace(rng, cfg, n, write_frac, base)
+        line = cfg.line_bytes
+        span = (addr + size - 1) // line - addr // line
+        # Rows spanning n_sets or more lines are the documented caveat
+        # of access_batch_probed: never watch them.
+        watchable = np.flatnonzero(span < cfg.n_sets)
+        watch = watchable[rng.random(watchable.size) < 0.3]
+        watched = set(watch.tolist())
+        oracle = CacheSim(cfg)
+        expect = []
+        for i in range(n):
+            if i in watched:
+                expect += [(i, r, d) for r, d in
+                           oracle.probe(int(addr[i]), int(size[i]))]
+            oracle.access(int(addr[i]), int(size[i]), bool(w[i]))
+        batch = CacheSim(cfg)
+        cut = int(rng.integers(0, n + 1))
+        got = []
+        for lo, hi in ((0, cut), (cut, n)):
+            part = watch[(watch >= lo) & (watch < hi)] - lo
+            rows, res, dirty = batch.access_batch_probed(
+                addr[lo:hi], size[lo:hi], w[lo:hi], part,
+                chunk_size=chunk)
+            got += list(zip((rows + lo).tolist(), res.tolist(),
+                            dirty.tolist()))
+        assert got == expect
+        assert full_state(batch) == full_state(oracle)
+
+    def test_calm_chunk_recency_reaches_later_eviction(self):
+        # Chunks [a b] [a a] [c a] on one 2-way set: a's latest touch
+        # before c is a calm-chunk hit kept only in the dense overlay,
+        # and c's install must still evict b, not a.
+        cfg = CacheConfig(capacity_bytes=256, associativity=2)
+        addr = np.array([0, 128, 0, 0, 256, 0], dtype=np.int64)
+        size = np.full(addr.size, 8, dtype=np.int64)
+        w = np.zeros(addr.size, dtype=bool)
+        oracle = CacheSim(cfg)
+        scalar_replay(oracle, addr, size, w, w)
+        batch = CacheSim(cfg)
+        batch.access_batch(addr, size, w, chunk_size=2)
+        assert full_state(batch) == full_state(oracle)
+
+
+# ----------------------------------------------------------------------
 # sharded engine
 # ----------------------------------------------------------------------
 class TestShardedEngine:

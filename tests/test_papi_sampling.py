@@ -380,6 +380,7 @@ class TestVectorizedReplay:
     def test_bit_identical_to_scalar_oracle(self, kernel, cache, cfg):
         scalar, vector = _pair(kernel, cache, **cfg)
         _assert_identical(scalar, vector)
+        assert vector.overhead()["span_guard_fallbacks"] == 0
 
     @given(period=st.integers(1, 48),
            skid=st.integers(0, 40),
@@ -429,6 +430,7 @@ class TestVectorizedReplay:
         scalar, vector = results
         assert vector._span_guard(trace.addr.astype(np.int64),
                                   trace.size.astype(np.int64))
+        assert vector.overhead()["span_guard_fallbacks"] >= 1
         _assert_identical(scalar, vector)
 
     def test_pending_skids_cross_segment_boundaries(self):
