@@ -37,7 +37,9 @@ any number of readers; cross-process write locking is out of scope.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import os
 import zlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -50,6 +52,9 @@ LABEL_NAME = "label.json"
 INDEX_NAME = "index.json"
 #: Records per volume before ``append`` auto-rotates.
 DEFAULT_VOLUME_RECORDS = 4096
+#: Validated sealed volumes an archive remembers for windowed replay;
+#: two cover a window that straddles a volume boundary.
+_REMEMBERED_VOLUMES = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,7 +70,12 @@ class ArchiveRecord:
 
 @dataclasses.dataclass(frozen=True)
 class VolumeInfo:
-    """Index entry for one sealed (immutable) volume file."""
+    """Index entry for one sealed (immutable) volume file.
+
+    ``t0``/``t1`` are the smallest and largest timestamps in the volume
+    (its first and last for in-order archives), so a replay window
+    skips the volume only when none of its records can fall inside.
+    """
 
     name: str
     records: int
@@ -91,19 +101,25 @@ def _encode_record(record: ArchiveRecord) -> str:
     return "%08x %s\n" % (zlib.crc32(body.encode("utf-8")), body)
 
 
-def _decode_record(line: str, where: str) -> ArchiveRecord:
-    if len(line) < 10 or line[8] != " ":
+def _decode_record(line: bytes, where: str) -> ArchiveRecord:
+    """Decode one record line, given as bytes without its newline.
+
+    Any damage, undecodable UTF-8 included, raises
+    :class:`~repro.errors.ArchiveCorruptionError`.
+    """
+    if len(line) < 10 or line[8:9] != b" ":
         raise ArchiveCorruptionError(f"{where}: malformed record line")
-    crc_hex, body = line[:8], line[9:].rstrip("\n")
+    crc_hex, body = line[:8], line[9:]
     try:
         expected = int(crc_hex, 16)
     except ValueError:
+        field = crc_hex.decode("ascii", "backslashreplace")
         raise ArchiveCorruptionError(
-            f"{where}: bad record checksum field {crc_hex!r}") from None
-    if zlib.crc32(body.encode("utf-8")) != expected:
+            f"{where}: bad record checksum field {field!r}") from None
+    if zlib.crc32(body) != expected:
         raise ArchiveCorruptionError(f"{where}: record checksum mismatch")
     try:
-        data = json.loads(body)
+        data = json.loads(body.decode("utf-8"))
         values = {}
         for key, value in data["v"].items():
             metric, _, instance = key.rpartition("|")
@@ -113,6 +129,11 @@ def _decode_record(line: str, where: str) -> ArchiveRecord:
     except (ValueError, KeyError, TypeError, AttributeError):
         raise ArchiveCorruptionError(
             f"{where}: record body failed to parse") from None
+
+
+def _in_window(timestamp: float, t0: float, t1: float) -> bool:
+    """True when ``timestamp`` lies in ``[t0, t1]`` (``t1 < 0``: no bound)."""
+    return not (timestamp < t0 or 0 <= t1 < timestamp)
 
 
 def _file_crc32(path: str) -> int:
@@ -156,6 +177,11 @@ class MetricArchive:
         self._tail_t1 = 0.0
         self._tail_fh = None
         self._closed = False
+        #: Validated sealed volumes, keyed by index entry: the file's
+        #: bytes, each record's timestamp and the byte offsets where its
+        #: lines start (one more offset than records).
+        self._remembered: Dict[
+            VolumeInfo, Tuple[bytes, List[float], List[int]]] = {}
         if _create:
             self._create_on_disk()
         else:
@@ -221,36 +247,27 @@ class MetricArchive:
     def _recover_tail(self, name: str) -> None:
         """Scan the tail volume, truncating after the last good record."""
         tail_path = os.path.join(self.path, name)
-        records = 0
-        t0 = t1 = 0.0
-        good_bytes = 0
         try:
-            with open(tail_path, "r", encoding="utf-8",
-                      errors="surrogateescape") as fh:
-                for line in fh:
-                    if not line.endswith("\n"):
-                        break  # partial final line: crashed mid-append
-                    try:
-                        record = _decode_record(line, name)
-                    except ArchiveCorruptionError:
-                        break  # torn write: keep everything before it
-                    records += 1
-                    if records == 1:
-                        t0 = record.timestamp
-                    t1 = record.timestamp
-                    good_bytes += len(line.encode("utf-8",
-                                                  "surrogateescape"))
+            with open(tail_path, "rb") as fh:
+                data = fh.read()
         except OSError:
             # Tail file vanished (crash between volume create and first
             # append): restart it empty.
-            good_bytes = -1
-        if good_bytes >= 0:
-            if os.path.getsize(tail_path) != good_bytes:
-                with open(tail_path, "r+b") as fh:
-                    fh.truncate(good_bytes)
-            self._tail_name = name
-            self._tail_records = records
-            self._tail_t0, self._tail_t1 = t0, t1
+            return
+        self._tail_name = name
+        good_bytes = 0
+        # The piece after the last newline is empty or a partial line
+        # left by a crash mid-append.
+        for line in data.split(b"\n")[:-1]:
+            try:
+                record = _decode_record(line, name)
+            except ArchiveCorruptionError:
+                break  # torn write: keep everything before it
+            self._track_tail_range(record.timestamp)
+            good_bytes += len(line) + 1
+        if len(data) != good_bytes:
+            with open(tail_path, "r+b") as fh:
+                fh.truncate(good_bytes)
 
     # -- writing --------------------------------------------------------
     def _require_open(self) -> None:
@@ -275,10 +292,16 @@ class MetricArchive:
         self._open_tail()
         self._tail_fh.write(_encode_record(record).encode("utf-8"))
         self._tail_fh.flush()
+        self._track_tail_range(record.timestamp)
+
+    def _track_tail_range(self, timestamp: float) -> None:
+        """Count one more tail record, widening the tail's time range."""
         if self._tail_records == 0:
-            self._tail_t0 = record.timestamp
+            self._tail_t0 = self._tail_t1 = timestamp
+        else:
+            self._tail_t0 = min(self._tail_t0, timestamp)
+            self._tail_t1 = max(self._tail_t1, timestamp)
         self._tail_records += 1
-        self._tail_t1 = record.timestamp
 
     def extend(self, records: Iterable[ArchiveRecord]) -> None:
         for record in records:
@@ -337,23 +360,26 @@ class MetricArchive:
         })
 
     # -- reading --------------------------------------------------------
-    def _read_volume(self, info: VolumeInfo, strict: bool
+    def _read_volume(self, info: VolumeInfo, strict: bool,
+                     t0: float = -math.inf, t1: float = -1.0
                      ) -> List[ArchiveRecord]:
-        path = os.path.join(self.path, info.name)
+        """Decode a sealed volume's records with timestamps in ``[t0, t1]``.
+
+        The file is read on every call. The first read validates all of
+        it: the whole-file checksum against ``info``, every record line
+        and the record count. It then remembers the bytes, keyed by
+        ``info``, with each record's timestamp and byte span. When a
+        later read finds the same bytes it decodes only the lines inside
+        the window: validation is a function of the bytes, so its result
+        cannot differ. Different bytes take the full path again. Every
+        call returns freshly decoded records.
+
+        A damaged or unreadable volume raises
+        :class:`~repro.errors.ArchiveCorruptionError`, or in non-strict
+        mode is quarantined and reads as empty.
+        """
         try:
-            if _file_crc32(path) != info.crc32:
-                raise ArchiveCorruptionError(
-                    f"{info.name}: volume checksum mismatch")
-            with open(path, "r", encoding="utf-8") as fh:
-                records = [_decode_record(line, info.name) for line in fh]
-            if len(records) != info.records:
-                raise ArchiveCorruptionError(
-                    f"{info.name}: expected {info.records} records, "
-                    f"found {len(records)}")
-            return records
-        except OSError as exc:
-            raise ArchiveCorruptionError(
-                f"{info.name}: unreadable ({exc})") from None
+            return self._decode_volume(info, t0, t1)
         except ArchiveCorruptionError:
             if strict:
                 raise
@@ -361,22 +387,59 @@ class MetricArchive:
                 self.quarantined.append(info.name)
             return []
 
+    def _decode_volume(self, info: VolumeInfo, t0: float, t1: float
+                       ) -> List[ArchiveRecord]:
+        """:meth:`_read_volume` in strict mode."""
+        try:
+            with open(os.path.join(self.path, info.name), "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ArchiveCorruptionError(
+                f"{info.name}: unreadable ({exc})") from None
+        known = self._remembered.get(info)
+        if known is not None and known[0] == data:
+            _, stamps, starts = known
+            return [_decode_record(data[starts[i]:starts[i + 1] - 1],
+                                   info.name)
+                    for i, stamp in enumerate(stamps)
+                    if _in_window(stamp, t0, t1)]
+        if zlib.crc32(data) != info.crc32:
+            raise ArchiveCorruptionError(
+                f"{info.name}: volume checksum mismatch")
+        lines = data.split(b"\n")
+        if not lines[-1]:
+            lines.pop()
+        records = [_decode_record(line, info.name) for line in lines]
+        if len(records) != info.records:
+            raise ArchiveCorruptionError(
+                f"{info.name}: expected {info.records} records, "
+                f"found {len(records)}")
+        starts = list(itertools.accumulate(
+            (len(line) + 1 for line in lines), initial=0))
+        remembered = list(self._remembered.items())
+        remembered.append((info, (
+            data, [record.timestamp for record in records], starts)))
+        # Replace rather than mutate, so a concurrent reader never sees
+        # the dict change under it.
+        self._remembered = dict(remembered[-_REMEMBERED_VOLUMES:])
+        return [record for record in records
+                if _in_window(record.timestamp, t0, t1)]
+
     def _read_tail(self) -> List[ArchiveRecord]:
+        """Decode every complete record of the unsealed tail volume."""
         if self._tail_name is None:
             return []
         if self._tail_fh is not None:
             self._tail_fh.flush()
         path = os.path.join(self.path, self._tail_name)
-        records = []
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.endswith("\n"):
-                        break
-                    records.append(_decode_record(line, self._tail_name))
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError:
             return []
-        return records
+        # The piece after the last newline is empty or still being written.
+        return [_decode_record(line, self._tail_name)
+                for line in data.split(b"\n")[:-1]]
 
     def records(self, t0: float = 0.0, t1: float = -1.0,
                 metrics: Optional[Sequence[str]] = None,
@@ -388,17 +451,24 @@ class MetricArchive:
         by the filter are dropped. In non-strict mode a corrupted sealed
         volume is quarantined (named in :attr:`quarantined`) instead of
         raising, and the replay continues with the surviving volumes.
+        Corruption in the unsealed tail raises in either mode.
+
+        Sealed volumes whose time range misses the window are not read.
+        A sealed volume read again with unchanged bytes decodes only the
+        records inside the window (see :meth:`_read_volume`); the tail
+        is decoded in full on every call. The returned records are fresh
+        objects that share no state with earlier or later calls.
         """
         out: List[ArchiveRecord] = []
         for info in self.volumes:
             if info.records and (info.t1 < t0 or (t1 >= 0 and info.t0 > t1)):
                 continue  # volume entirely outside the window
-            out.extend(self._read_volume(info, strict))
+            out.extend(self._read_volume(info, strict, t0, t1))
         out.extend(self._read_tail())
         wanted = set(metrics) if metrics is not None else None
         selected: List[ArchiveRecord] = []
         for rec in out:
-            if rec.timestamp < t0 or (t1 >= 0 and rec.timestamp > t1):
+            if not _in_window(rec.timestamp, t0, t1):
                 continue
             if wanted is not None:
                 values = {key: v for key, v in rec.values.items()
@@ -486,16 +556,17 @@ class MetricArchive:
         self._next_seq += 1
         path = os.path.join(self.path, name)
         tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             for record in merged:
-                fh.write(_encode_record(record))
+                fh.write(_encode_record(record).encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         old = self.volumes
         self.volumes = [VolumeInfo(
             name=name, records=len(merged),
-            t0=merged[0].timestamp, t1=merged[-1].timestamp,
+            t0=min(record.timestamp for record in merged),
+            t1=max(record.timestamp for record in merged),
             crc32=_file_crc32(path),
         )]
         self._write_index()
