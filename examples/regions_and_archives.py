@@ -17,7 +17,7 @@ from repro.fft3d import FFT3DApp
 from repro.measure import sparkline
 from repro.mpi import ProcessorGrid
 from repro.papi import HighLevelApi, library_init
-from repro.pcp import PmapiContext, PmLogger, start_pmcd_for_node
+from repro.pcp import connect, start_pmcd_for_node
 from repro.pmu.events import all_pcp_events, pcp_metric_name
 from repro.units import fmt_bytes
 
@@ -51,8 +51,7 @@ def pmlogger_demo():
     node0 = app.cluster.nodes[0]
     pmcd = start_pmcd_for_node(node0, round_trip_seconds=0.0)
     metrics = [pcp_metric_name(ch, write=False) for ch in range(8)]
-    logger = PmLogger(PmapiContext(pmcd, node=node0), metrics,
-                      interval_seconds=1e-3)
+    logger = connect(pmcd, node=node0).log(metrics, interval_seconds=1e-3)
 
     steps = app.steps(slices_per_phase=2)
     logger.sample()

@@ -46,8 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", nargs="?",
                         help="experiment id (e.g. table1, fig2 ... fig12), "
-                             "'pcp-stress' for the concurrent daemon "
-                             "stress run, or 'bench' for the parallel "
+                             "'pcp-load' for the concurrent daemon "
+                             "load run, or 'bench' for the parallel "
                              "benchmark suite (see 'bench --help')")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
@@ -60,34 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true",
                         help="also render ASCII log-log plots of the "
                              "figure's sweeps (where available)")
-    parser.add_argument("--clients", type=int, default=8,
-                        help="pcp-stress: number of concurrent TCP clients")
-    parser.add_argument("--fetches", type=int, default=32,
-                        help="pcp-stress: fetches per client")
-    parser.add_argument("--no-coalesce", action="store_true",
-                        help="pcp-stress: disable fetch coalescing "
-                             "(naive per-request PMDA reads)")
     return parser
-
-
-def _run_pcp_stress(args) -> int:
-    from .pcp.stress import run_stress
-
-    report = run_stress(
-        n_clients=args.clients, n_fetches=args.fetches,
-        seed=args.seed if args.seed is not None else 1,
-        coalesce=not args.no_coalesce,
-    )
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        width = max(len(k) for k in report)
-        for key, value in report.items():
-            print(f"{key:{width}s}  {value}")
-    healthy = (not report["errors"] and report["cross_wired"] == 0
-               and report["non_monotone_timestamps"] == 0
-               and report["unrecovered_faults"] == 0)
-    return 0 if healthy else 1
 
 
 def build_pcp_load_parser() -> argparse.ArgumentParser:
@@ -838,8 +811,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for exp in all_experiments():
             ref = f" ({exp.paper_ref})" if exp.paper_ref else ""
             print(f"{exp.experiment_id:8s} {exp.title}{ref}")
-        print("pcp-stress  Concurrent multi-client PMCD stress run "
-              "(--clients/--fetches)")
         print("pcp-load    Asyncio fabric load harness with fault "
               "injection (pcp-load --help)")
         print("bench       Parallel benchmark suite with regression "
@@ -851,8 +822,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("sample      SPE/PEBS-style sampling profiler with "
               "accuracy report (sample --help)")
         return 0
-    if args.experiment == "pcp-stress":
-        return _run_pcp_stress(args)
     render = _result_to_json if args.json else (lambda r: r.render())
     if args.all:
         for exp in all_experiments():

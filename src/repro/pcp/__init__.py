@@ -1,22 +1,16 @@
 """Simulated Performance Co-Pilot stack: PMNS, PMDAs, the PMCD daemon
-and the unified client session surface (:func:`connect` /
-:class:`PcpSession`), plus the threaded TCP service layer
-(:mod:`~repro.pcp.server`), the asyncio multi-tenant fabric
-(:mod:`~repro.pcp.aserver`), on-disk metric archives
+and the client session surface (:func:`connect` / :class:`PcpSession`,
+over TCP through :class:`RemoteTransport`), plus the asyncio TCP
+service fabric (:mod:`~repro.pcp.aserver`), on-disk metric archives
 (:mod:`~repro.pcp.archive`) and fault injection
 (:mod:`~repro.pcp.faults`). The privileged perfevent PMDA is what lets
 unprivileged users read nest counters — the mechanism the paper
-validates.
-
-``PmapiContext``, ``RemotePMCD`` and ``PmLogger`` are deprecated shims
-kept for compatibility; new code uses ``pcp.connect(...)``."""
+validates."""
 
 from .archive import ArchiveRecord, MetricArchive, rates_from_records
 from .aserver import AsyncPMCDServer, FabricStats
-from .client import PmapiContext
 from .faults import FaultAction, FaultInjector, FaultKind
 from .pmcd import PMCD, PMCDStats, start_pmcd_for_node
-from .pmlogger import PmLogger
 from .pmda import PMDA, PerfeventPMDA, PmcdPMDA, make_pmid, pmid_domain
 from .pmns import PMNS
 from .protocol import (
@@ -36,8 +30,13 @@ from .protocol import (
     PCPStatus,
     negotiate_version,
 )
-from .server import PMCDServer, RemotePMCD, RemoteTransport, ServiceStats
-from .session import AsyncPcpSession, PcpSession, SessionLogger, connect
+from .session import (
+    AsyncPcpSession,
+    PcpSession,
+    RemoteTransport,
+    SessionLogger,
+    connect,
+)
 
 __all__ = [
     "ArchiveFetchRequest",
@@ -62,19 +61,14 @@ __all__ = [
     "OpenResponse",
     "PCPStatus",
     "PMCD",
-    "PMCDServer",
     "PMCDStats",
     "PMDA",
     "PMNS",
     "PROTOCOL_VERSION",
     "PcpSession",
     "PerfeventPMDA",
-    "PmLogger",
-    "PmapiContext",
     "PmcdPMDA",
-    "RemotePMCD",
     "RemoteTransport",
-    "ServiceStats",
     "SessionLogger",
     "connect",
     "make_pmid",

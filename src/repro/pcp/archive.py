@@ -8,8 +8,8 @@ subsystem for the simulated stack: a directory of append-only JSONL
 ``index.json`` naming the sealed volumes (with record counts, time range
 and a whole-file checksum), and a replay surface (:meth:`records`,
 :meth:`series`, :meth:`rates`) whose semantics match the in-memory
-``PmLogger`` exactly — so replaying an archive is byte-identical to
-having watched the live fetches.
+``SessionLogger`` exactly — so replaying an archive is byte-identical
+to having watched the live fetches.
 
 Durability follows the trace store's discipline:
 
@@ -493,7 +493,7 @@ class MetricArchive:
     def rates(self, metric: str, instance: str
               ) -> List[Tuple[float, float]]:
         """Counter metric -> rate curve; identical semantics to the live
-        ``PmLogger.rates`` (gap records restart the curve)."""
+        ``SessionLogger.rates`` (gap records restart the curve)."""
         return rates_from_records(self.records(), metric, instance)
 
     def instances_of(self, metric: str) -> List[str]:
@@ -595,8 +595,8 @@ def rates_from_records(records: Sequence[ArchiveRecord], metric: str,
                        instance: str) -> List[Tuple[float, float]]:
     """PCP rate conversion over a record sequence (gap-aware).
 
-    Shared by the live ``PmLogger`` and archive replay so the two can
-    never drift apart.
+    Shared by the live ``SessionLogger`` and archive replay so the two
+    can never drift apart.
     """
     key = (metric, instance)
     out: List[Tuple[float, float]] = []

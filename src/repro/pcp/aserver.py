@@ -1,9 +1,8 @@
-"""Asyncio multi-tenant PMCD fabric.
+"""Asyncio multi-tenant PMCD fabric: the one TCP service layer.
 
-The threaded :class:`~repro.pcp.server.PMCDServer` proves the process
-boundary with one thread per client — fine for tens of clients, not
-for thousands. This module is the same daemon rebuilt as a service
-fabric:
+The in-process :class:`~repro.pcp.pmcd.PMCD` captures the daemon; this
+module puts it behind a real TCP socket as a service fabric that
+serves thousands of concurrent clients:
 
 * **asyncio TCP front-end** — every client connection is a coroutine
   on one event loop, so thousands of concurrent
@@ -16,8 +15,8 @@ fabric:
   own shard;
 * **per-shard request coalescing** — a shard worker drains its queue
   in batches and identical concurrent pmid-tuples share one PMDA
-  read, exactly the invariant the threaded server's dispatcher
-  enforced globally;
+  read, so the daemon does strictly fewer PMDA reads than the naive
+  per-request count under concurrent load;
 * **hybrid executor offload** — domains named in ``executor_domains``
   have their PMDA reads pushed to a concurrent.futures executor (a
   thread pool by default; pass a process pool for picklable
@@ -31,16 +30,20 @@ fabric:
   supervisor requeues the jobs it had claimed and restarts the
   worker, so clients observe latency, never a lost request.
 
-Faults from :class:`~repro.pcp.faults.FaultInjector` apply at the
-same two sites as the threaded server: per served response
-(drop/slow/truncate) and — new — per PMDA read
+Faults from :class:`~repro.pcp.faults.FaultInjector` apply at two
+sites: per served response (drop/slow/truncate) and per PMDA read
 (:attr:`~repro.pcp.faults.FaultKind.SLOW_PMDA`).
 
+Encoding: one JSON object per line, ``{"type": <RequestClass>,
+**fields}`` → ``{"type": <ResponseClass>, **fields}`` (codec in
+:mod:`repro.pcp.protocol`).
+
 The fabric runs inside one event loop; :meth:`start_in_thread` hosts
-that loop on a daemon thread so synchronous code (tests, the CLI, the
-threaded stress harness) can stand up a fabric and talk to it over
-TCP. Everything here is Python 3.9-compatible (no ``asyncio.timeout``
-or ``TaskGroup``).
+that loop on a daemon thread so synchronous code (tests, examples,
+sync :class:`~repro.pcp.session.PcpSession` clients over a
+:class:`~repro.pcp.session.RemoteTransport`) can stand up a fabric
+and talk to it over TCP. Everything here is Python 3.9-compatible (no
+``asyncio.timeout`` or ``TaskGroup``).
 """
 
 from __future__ import annotations
@@ -59,18 +62,17 @@ from .pmda import pmid_domain
 
 
 class FabricStats:
-    """Counters for the asyncio service layer.
+    """Counters for the TCP service layer.
 
-    Snapshot keys are a superset of the threaded
-    :class:`~repro.pcp.server.ServiceStats` (``coalesced``,
-    ``max_queue_depth``, ``latency_max_usec``, ...) so the ``pmcd.
-    service.*`` self-metrics read identically against either server.
+    The ``pmcd.service.*`` self-metrics (``coalesced``,
+    ``max_queue_depth``, ``latency_max_usec``) read from this
+    snapshot.
     """
 
     _FIELDS = ("requests", "responses", "batches", "coalesced",
                "max_queue_depth", "connections", "disconnects", "faults",
-               "dispatch_timeouts", "shard_kills", "shard_restarts",
-               "requeued_jobs", "executor_reads", "archive_fetches")
+               "shard_kills", "shard_restarts", "requeued_jobs",
+               "executor_reads", "archive_fetches")
 
     def __init__(self) -> None:
         # The loop thread does almost all the counting, but snapshots
@@ -204,16 +206,22 @@ class AsyncPMCDServer:
         Listening socket and shard workers survive, as systemd socket
         activation would provide; every live client connection is
         dropped so auto-reconnecting transports observe the gap.
-        Thread-safe.
+        Thread-safe: called off the loop thread of
+        :meth:`start_in_thread`, it returns once the crash has run on
+        the loop.
         """
         def crash() -> None:
             self.pmcd.restart()
             self._drop_all_connections()
 
+        async def crash_on_loop() -> None:
+            crash()
+
         loop = self._thread_loop or self._loop
         if (loop is not None and self._thread is not None
                 and threading.current_thread() is not self._thread):
-            loop.call_soon_threadsafe(crash)
+            asyncio.run_coroutine_threadsafe(crash_on_loop(), loop).result(
+                timeout=10)
         else:
             crash()
 

@@ -9,8 +9,8 @@ applies whatever was scheduled. There is no randomness: repeatability
 is a project invariant, so fault schedules are explicit FIFO plans.
 
 Daemon restart is not scheduled here — it is a direct operation
-(:meth:`~repro.pcp.server.PMCDServer.restart`) because it acts on the
-whole daemon, not on one response.
+(:meth:`~repro.pcp.aserver.AsyncPMCDServer.restart`) because it acts
+on the whole daemon, not on one response.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """pcp-load: asyncio load harness for the PMCD fabric.
 
-Where ``pcp-stress`` proves the *threaded* service layer correct under
-tens of clients, ``pcp-load`` drives the asyncio fabric
-(:mod:`repro.pcp.aserver`) at service scale: hundreds of concurrent
-:class:`~repro.pcp.session.AsyncPcpSession` contexts, each pipelining
-fetch PDUs over its own TCP connection, sustained for a wall-clock
-window — with fault injection running *during* the load:
+``pcp-load`` drives the asyncio fabric (:mod:`repro.pcp.aserver`) with
+concurrent :class:`~repro.pcp.session.AsyncPcpSession` contexts, each
+pipelining fetch PDUs over its own TCP connection, sustained for a
+wall-clock window — from a small-N correctness run (``pcp-load
+--contexts 16 --duration 2``) to service scale (hundreds of contexts)
+— with fault injection running *during* the load:
 
 * **shard-worker kill** — :meth:`AsyncPMCDServer.kill_shard` cancels
   the perfevent shard mid-batch at scheduled points; the supervisor
@@ -18,7 +18,7 @@ window — with fault injection running *during* the load:
   bit-flipped mid-run and a replay is issued; the daemon must answer
   with a clean error (never corrupt data, never crash).
 
-The harness verifies the stress invariants as it goes (no cross-wired
+The harness verifies the service invariants as it goes (no cross-wired
 responses, per-context monotone fetch timestamps) and reports client-
 observed latency percentiles plus a histogram suitable for the CI
 artifact. Latency is recorded per *pipelined batch* and attributed to

@@ -99,7 +99,7 @@ class PMCD:
         self.generation = 0
         self.boot_id = 0
         self.stats = PMCDStats()
-        #: Optional :class:`~repro.pcp.server.ServiceStats` attached by
+        #: Optional :class:`~repro.pcp.aserver.FabricStats` attached by
         #: the TCP service layer (exported via pmcd.service.* metrics).
         self.service_stats = None
         #: Optional :class:`~repro.pcp.archive.MetricArchive` serving

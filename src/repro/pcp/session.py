@@ -1,9 +1,7 @@
 """One session surface for the whole PCP stack: ``pcp.connect()``.
 
-Historically the package had three unrelated client entry points —
-``PmapiContext`` (in-process contexts), ``RemotePMCD`` (the TCP
-transport) and ``PmLogger`` (periodic archiving) — each with its own
-constructor. :func:`connect` collapses them into one call::
+:func:`connect` is the one client entry point, whatever the daemon's
+deployment shape::
 
     session = pcp.connect(pmcd)                      # in-process
     session = pcp.connect(("127.0.0.1", 44321))      # over TCP
@@ -15,15 +13,12 @@ surface — ``lookup_names``/``fetch``/``fetch_one``/``children``/
 ``traverse`` — plus periodic logging (:meth:`PcpSession.log` returns a
 :class:`SessionLogger`) and archive replay
 (:meth:`PcpSession.fetch_archive` queries a historical window instead
-of live-fetching). Async mode returns an :class:`AsyncPcpSession`
-whose methods are coroutines (``await session.fetch(...)``), designed
-for thousands of concurrent contexts against the asyncio fabric
-(:mod:`repro.pcp.aserver`).
-
-The old names remain as thin deprecated shims (``PmapiContext`` and
-``PmLogger`` subclass the session classes; ``RemotePMCD`` subclasses
-the transport) so every pre-redesign call site keeps working, with a
-``DeprecationWarning`` pointing here.
+of live-fetching). Over TCP a sync session talks through a
+:class:`RemoteTransport`, which adds per-request deadlines, retry
+with backoff and optional auto-reconnect. Async mode returns an
+:class:`AsyncPcpSession` whose methods are coroutines (``await
+session.fetch(...)``), designed for thousands of concurrent contexts
+against the asyncio fabric (:mod:`repro.pcp.aserver`).
 
 Accounting is unchanged from the seed: each sync call is one daemon
 round trip charged to the client node's clock, lookup caching is
@@ -35,11 +30,15 @@ bit-exactly through the redesign.
 from __future__ import annotations
 
 import asyncio
+import socket
+import threading
+import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ArchiveError, PCPError, PCPTimeout
 from ..machine.node import Node
 from .archive import ArchiveRecord, rates_from_records
+from .pmcd import PMCD
 from .protocol import (
     ArchiveFetchRequest,
     ArchiveFetchResponse,
@@ -59,7 +58,7 @@ from .protocol import (
 
 
 def _records_from_samples(samples) -> List[ArchiveRecord]:
-    """ArchiveFetchResponse payload -> the PmLogger record shape."""
+    """ArchiveFetchResponse payload -> the SessionLogger record shape."""
     records = []
     for sample in samples:
         values: Dict[Tuple[str, str], int] = {}
@@ -141,11 +140,11 @@ class PcpSession(_SessionState):
 
     ``pmcd`` is anything with the daemon surface (``handle``, ``pmns``,
     ``round_trip_seconds``): an in-process :class:`~repro.pcp.pmcd.
-    PMCD` or a TCP :class:`~repro.pcp.server.RemoteTransport`. ``node``
-    is the machine whose clock pays the round trips; pass None for a
-    free-running client (no latency accounting). ``cache_lookups``
-    serves repeated name resolution locally (invalidated when the
-    daemon's generation changes).
+    PMCD` or a TCP :class:`RemoteTransport`. ``node`` is the machine
+    whose clock pays the round trips; pass None for a free-running
+    client (no latency accounting). ``cache_lookups`` serves repeated
+    name resolution locally (invalidated when the daemon's generation
+    changes).
     """
 
     def __init__(self, pmcd, node: Optional[Node] = None,
@@ -632,6 +631,181 @@ class AsyncPcpSession(_SessionState):
         return self._check_archive_response(response)
 
 
+class RemoteTransport:
+    """Client-side stand-in for a PMCD reached over TCP.
+
+    Duck-types the surface :class:`PcpSession` uses (``handle``,
+    ``pmns``, ``round_trip_seconds``), so the whole PAPI PCP component
+    works unchanged across the socket. ``pmns`` access is served by
+    traversing the remote namespace via ChildrenRequest PDUs. Sessions
+    normally obtain one through ``repro.pcp.connect(("host", port))``
+    rather than directly.
+
+    Fault tolerance: each request has a deadline
+    (``request_timeout``); a timed-out or failed request is retried up
+    to ``max_retries`` times with exponential backoff. A timed-out
+    attempt closes its socket, because the byte stream may still carry
+    the stale response (which would cross-wire every request after
+    it); the next attempt, in this call or a later one, dials afresh.
+    With ``auto_reconnect=True`` the transport also re-dials after the
+    daemon drops the connection (e.g. a restart) — the daemon's
+    ``boot_id`` then tells the :class:`PcpSession` to flag a
+    measurement gap.
+    """
+
+    def __init__(self, host: str, port: int,
+                 round_trip_seconds: float = PMCD.DEFAULT_ROUND_TRIP,
+                 timeout: float = 10.0,
+                 request_timeout: Optional[float] = None,
+                 max_retries: int = 2,
+                 backoff_base_seconds: float = 0.01,
+                 auto_reconnect: bool = False):
+        self.host = host
+        self.port = port
+        self.round_trip_seconds = round_trip_seconds
+        self.connect_timeout = timeout
+        self.request_timeout = (timeout if request_timeout is None
+                                else request_timeout)
+        self.max_retries = max_retries
+        self.backoff_base_seconds = backoff_base_seconds
+        self.auto_reconnect = auto_reconnect
+        self._lock = threading.Lock()
+        self._sock: Optional[socket.socket] = None
+        self._rfile = None
+        self._pmns = None
+        self.requests = 0
+        self.retries = 0
+        self.timeouts = 0
+        self.reconnects = 0
+        self._latency_sum = 0.0
+        self._latency_max = 0.0
+        self._connect()
+
+    # ------------------------------------------------------------------
+    def _connect(self) -> None:
+        self._sock = socket.create_connection(
+            (self.host, self.port), timeout=self.connect_timeout)
+        self._sock.settimeout(self.request_timeout)
+        self._rfile = self._sock.makefile("rb")
+
+    def _teardown(self) -> None:
+        for closer in (self._rfile, self._sock):
+            if closer is not None:
+                try:
+                    closer.close()
+                except OSError:
+                    pass
+        self._rfile = None
+        self._sock = None
+
+    def _reconnect(self) -> None:
+        self._teardown()
+        self._connect()
+        self.reconnects += 1
+
+    # ------------------------------------------------------------------
+    def handle(self, request):
+        payload = encode_request(request)
+        with self._lock:
+            self.requests += 1
+            last_error: Optional[Exception] = None
+            attempts = 0
+            for attempt in range(self.max_retries + 1):
+                attempts += 1
+                if attempt:
+                    self.retries += 1
+                    time.sleep(self.backoff_base_seconds
+                               * (2 ** (attempt - 1)))
+                if attempt or self._sock is None:
+                    # Retries start on a fresh connection, and so does
+                    # the first attempt after a timeout closed the last.
+                    try:
+                        self._reconnect()
+                    except OSError as exc:
+                        last_error = exc
+                        continue
+                started = time.monotonic()
+                try:
+                    self._sock.sendall(payload)
+                    line = self._rfile.readline()
+                except socket.timeout:
+                    self.timeouts += 1
+                    last_error = PCPTimeout(
+                        f"pmcd request timed out after "
+                        f"{self.request_timeout}s")
+                    # The stream is poisoned (a socket file also refuses
+                    # reads after a timeout): close it so no later
+                    # request can read the stale response.
+                    self._teardown()
+                    continue
+                except OSError as exc:
+                    last_error = exc
+                    if not self.auto_reconnect:
+                        break
+                    continue
+                if not line:
+                    last_error = PCPError("connection to pmcd lost")
+                    if not self.auto_reconnect:
+                        break
+                    continue
+                try:
+                    response = decode_response(line)
+                except PCPError as exc:  # truncated/corrupt PDU
+                    last_error = exc
+                    if not self.auto_reconnect:
+                        break
+                    continue
+                elapsed = time.monotonic() - started
+                self._latency_sum += elapsed
+                self._latency_max = max(self._latency_max, elapsed)
+                return response
+        if isinstance(last_error, PCPError):
+            raise last_error
+        raise PCPError(
+            f"pmcd request failed after {attempts} "
+            f"attempt(s): {last_error}")
+
+    # ------------------------------------------------------------------
+    @property
+    def pmns(self):
+        if self._pmns is None:
+            self._pmns = _RemotePMNS(self)
+        return self._pmns
+
+    def transport_stats(self) -> Dict[str, float]:
+        """Client-side service counters (latency, retries, reconnects)."""
+        served = max(1, self.requests)
+        return {
+            "requests": self.requests,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "reconnects": self.reconnects,
+            "latency_avg_usec": int(self._latency_sum / served * 1e6),
+            "latency_max_usec": int(self._latency_max * 1e6),
+        }
+
+    def close(self) -> None:
+        self._teardown()
+
+
+class _RemotePMNS:
+    """Remote PMNS traversal via ChildrenRequest PDUs."""
+
+    def __init__(self, remote: RemoteTransport):
+        self._remote = remote
+
+    def traverse(self, prefix: str = ""):
+        response = self._remote.handle(ChildrenRequest(prefix=prefix))
+        if response.status != PCPStatus.OK:
+            raise PCPError(f"unknown PMNS prefix {prefix!r}")
+        for child, leaf in zip(response.children, response.leaf_flags):
+            path = f"{prefix}.{child}" if prefix else child
+            if leaf:
+                yield path
+            else:
+                yield from self.traverse(path)
+
+
 AddressLike = Union[str, Tuple[str, int]]
 
 
@@ -647,8 +821,8 @@ def _parse_address(target) -> Optional[Tuple[str, int]]:
         return (host, int(port))
     address = getattr(target, "address", None)
     if address is not None and not hasattr(target, "handle"):
-        # A server object (threaded PMCDServer or AsyncPMCDServer):
-        # dial its listening address.
+        # A server object (AsyncPMCDServer): dial its listening
+        # address.
         return (address[0], int(address[1]))
     return None
 
@@ -678,7 +852,6 @@ def connect(target, mode: str = "sync", *,
     address = _parse_address(target)
     if mode == "sync":
         if address is not None:
-            from .server import RemoteTransport
             target = RemoteTransport(
                 address[0], address[1],
                 round_trip_seconds=(0.0 if round_trip_seconds is None

@@ -1,4 +1,4 @@
-"""End-to-end tests for ``repro.cli bench`` and the pcp-stress gate."""
+"""End-to-end tests for ``repro.cli bench`` and the pcp-load gates."""
 
 import json
 
@@ -121,44 +121,54 @@ def test_bench_listed_in_cli_index(capsys):
     assert "bench" in capsys.readouterr().out
 
 
-# ------------------------------------------------------------ pcp-stress
+# ------------------------------------------------------------ pcp-load
 
 
-HEALTHY_STRESS = {
-    "clients": 2,
-    "clients_completed": 2,
+HEALTHY_LOAD = {
+    "contexts": 2,
+    "total_fetches": 1000,
+    "fetches_per_second": 5000,
+    "latency_p99_usec": 800,
     "errors": [],
     "cross_wired": 0,
     "non_monotone_timestamps": 0,
     "unrecovered_faults": 0,
+    "archive_corruption": None,
 }
 
 
-def _patch_stress(monkeypatch, **overrides):
-    import repro.pcp.stress as stress
+def _patch_load(monkeypatch, **overrides):
+    import repro.pcp.load as load
 
-    fake_report = dict(HEALTHY_STRESS, **overrides)
-    monkeypatch.setattr(
-        stress, "run_stress", lambda **kwargs: dict(fake_report)
-    )
+    fake_report = dict(HEALTHY_LOAD, **overrides)
+    monkeypatch.setattr(load, "run_load", lambda **kwargs: dict(fake_report))
 
 
-def test_pcp_stress_healthy_run_exits_zero(monkeypatch, capsys):
-    _patch_stress(monkeypatch)
-    assert main(["pcp-stress", "--json"]) == 0
+def test_pcp_load_healthy_run_exits_zero(monkeypatch, capsys):
+    _patch_load(monkeypatch)
+    assert main(["pcp-load", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["unrecovered_faults"] == 0
 
 
-def test_pcp_stress_unrecovered_fault_exits_nonzero(monkeypatch, capsys):
-    _patch_stress(
+def test_pcp_load_unrecovered_fault_exits_nonzero(monkeypatch, capsys):
+    _patch_load(
         monkeypatch,
         unrecovered_faults=1,
-        clients_completed=1,
-        errors=["client 1: still alive after join timeout"],
+        errors=["context 1: ConnectionResetError()"],
     )
-    assert main(["pcp-stress", "--json"]) == 1
+    assert main(["pcp-load", "--json"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["unrecovered_faults"] == 1
+
+
+@pytest.mark.parametrize("gate", [
+    ["--min-rate", "5001"],
+    ["--max-p99-usec", "799"],
+])
+def test_pcp_load_missed_gate_exits_nonzero(monkeypatch, capsys, gate):
+    _patch_load(monkeypatch)
+    assert main(["pcp-load", "--json"] + gate) == 1
+    assert json.loads(capsys.readouterr().out)["errors"] == []
 
 
 def test_bench_profile_flag_writes_prof_next_to_report(

@@ -9,8 +9,7 @@ from repro.machine.node import Node
 from repro.mpi.grid import ProcessorGrid
 from repro.noise import QUIET
 from repro.papi import library_init
-from repro.pcp import PmapiContext, start_pmcd_for_node
-from repro.pcp.server import PMCDServer, RemotePMCD
+from repro.pcp import AsyncPMCDServer, connect, start_pmcd_for_node
 from repro.pmu.events import pcp_metric_name
 
 METRIC = pcp_metric_name(0, write=False)
@@ -31,7 +30,7 @@ class TestPMCDFailures:
     def test_daemon_restart_recovers(self):
         node = Node(SUMMIT, seed=1, noise=QUIET)
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd, node=node)
+        client = connect(pmcd, node=node)
         pmcd.running = False
         with pytest.raises(PCPError):
             client.lookup_names([METRIC])
@@ -40,17 +39,16 @@ class TestPMCDFailures:
 
     def test_remote_connection_lost(self):
         node = Node(SUMMIT, seed=1, noise=QUIET)
-        server = PMCDServer(start_pmcd_for_node(node)).start()
-        remote = RemotePMCD(*server.address, round_trip_seconds=0.0)
-        client = PmapiContext(remote, node=node)
+        server = AsyncPMCDServer(start_pmcd_for_node(node)).start_in_thread()
+        client = connect(server, node=node, auto_reconnect=False)
         pmids = client.lookup_names([METRIC])
         assert pmids
         # Drop the transport underneath the client (network partition).
-        remote._sock.shutdown(2)
+        client.pmcd._sock.shutdown(2)
         with pytest.raises(Exception):
             client.fetch(pmids)
-        remote.close()
-        server.stop()
+        client.close()
+        server.stop_in_thread()
 
 
 class TestDeviceFailures:

@@ -12,14 +12,14 @@ from repro.errors import PCPError, PCPTimeout
 from repro.machine.config import SUMMIT
 from repro.machine.node import Node
 from repro.noise import QUIET
-from repro.pcp.client import PmapiContext
+from repro.pcp import connect
+from repro.pcp.aserver import AsyncPMCDServer
 from repro.pcp.faults import FaultInjector, FaultKind
 from repro.pcp.pmcd import start_pmcd_for_node
-from repro.pcp.pmlogger import PmLogger
-from repro.pcp.server import PMCDServer, RemotePMCD
 from repro.pmu.events import pcp_metric_name
 
 METRIC = pcp_metric_name(0, write=False)
+METRICS = [pcp_metric_name(ch, False) for ch in range(3)]
 
 
 @pytest.fixture
@@ -34,15 +34,10 @@ def faults():
 
 @pytest.fixture
 def server(node, faults):
-    server = PMCDServer(start_pmcd_for_node(node),
-                        fault_injector=faults).start()
+    server = AsyncPMCDServer(start_pmcd_for_node(node),
+                             fault_injector=faults).start_in_thread()
     yield server
-    server.stop()
-
-
-def _remote(server, **kwargs):
-    kwargs.setdefault("round_trip_seconds", 0.0)
-    return RemotePMCD(*server.address, **kwargs)
+    server.stop_in_thread()
 
 
 class TestFaultInjector:
@@ -70,95 +65,97 @@ class TestFaultInjector:
 
 class TestDroppedConnection:
     def test_drop_without_reconnect_raises(self, server, faults):
-        remote = _remote(server, auto_reconnect=False)
-        client = PmapiContext(remote)
-        pmids = client.lookup_names([METRIC])
-        faults.drop_connections(1)
-        with pytest.raises(PCPError):
-            client.fetch(pmids)
-        remote.close()
+        with connect(server, auto_reconnect=False) as client:
+            pmids = client.lookup_names([METRIC])
+            faults.drop_connections(1)
+            with pytest.raises(PCPError):
+                client.fetch(pmids)
 
     def test_drop_with_reconnect_recovers(self, server, faults):
-        remote = _remote(server, auto_reconnect=True, max_retries=3,
-                         backoff_base_seconds=0.005)
-        client = PmapiContext(remote)
-        pmids = client.lookup_names([METRIC])
-        faults.drop_connections(1)
-        values = client.fetch(pmids)
-        assert set(values) == set(pmids)
-        assert remote.reconnects >= 1
-        assert remote.retries >= 1
-        remote.close()
+        with connect(server, auto_reconnect=True, max_retries=3,
+                     backoff_base_seconds=0.005) as client:
+            pmids = client.lookup_names([METRIC])
+            faults.drop_connections(1)
+            values = client.fetch(pmids)
+            assert set(values) == set(pmids)
+            assert client.pmcd.reconnects >= 1
+            assert client.pmcd.retries >= 1
 
 
 class TestTruncatedPDU:
     def test_truncated_pdu_is_pcp_error(self, server, faults):
-        remote = _remote(server, auto_reconnect=False)
-        client = PmapiContext(remote)
-        faults.truncate_pdus(1)
-        with pytest.raises(PCPError):
-            client.lookup_names([METRIC])
-        remote.close()
+        with connect(server, auto_reconnect=False) as client:
+            faults.truncate_pdus(1)
+            with pytest.raises(PCPError):
+                client.lookup_names([METRIC])
 
     def test_truncated_pdu_recovers_with_reconnect(self, server, faults):
-        remote = _remote(server, auto_reconnect=True, max_retries=3,
-                         backoff_base_seconds=0.005)
-        client = PmapiContext(remote)
-        faults.truncate_pdus(1)
-        assert client.lookup_names([METRIC])
-        assert remote.reconnects >= 1
-        remote.close()
+        with connect(server, auto_reconnect=True, max_retries=3,
+                     backoff_base_seconds=0.005) as client:
+            faults.truncate_pdus(1)
+            assert client.lookup_names([METRIC])
+            assert client.pmcd.reconnects >= 1
 
 
 class TestTimeoutRetryBackoff:
     def test_timed_out_fetch_retries_then_surfaces_pcp_error(
             self, server, faults):
-        remote = _remote(server, request_timeout=0.08, max_retries=2,
-                         backoff_base_seconds=0.01)
-        client = PmapiContext(remote)
-        pmids = client.lookup_names([METRIC])
-        # Every attempt (1 original + 2 retries) hits a slow response
-        # far beyond the request deadline.
-        faults.slow_responses(5, seconds=0.5)
-        with pytest.raises(PCPTimeout):
-            client.fetch(pmids)
-        assert remote.timeouts == 3
-        assert remote.retries == 2
-        remote.close()
+        with connect(server, request_timeout=0.08, max_retries=2,
+                     backoff_base_seconds=0.01,
+                     auto_reconnect=False) as client:
+            pmids = client.lookup_names([METRIC])
+            # Every attempt (1 original + 2 retries) hits a slow
+            # response far beyond the request deadline.
+            faults.slow_responses(5, seconds=0.5)
+            with pytest.raises(PCPTimeout):
+                client.fetch(pmids)
+            assert client.pmcd.timeouts == 3
+            assert client.pmcd.retries == 2
 
     def test_timeout_then_recovery(self, server, faults):
-        remote = _remote(server, request_timeout=0.08, max_retries=2,
-                         backoff_base_seconds=0.01)
-        client = PmapiContext(remote)
-        pmids = client.lookup_names([METRIC])
-        faults.slow_responses(1, seconds=0.5)  # only the first attempt
-        values = client.fetch(pmids)
-        assert set(values) == set(pmids)
-        assert remote.timeouts == 1
-        assert remote.retries >= 1
-        remote.close()
+        with connect(server, request_timeout=0.08, max_retries=2,
+                     backoff_base_seconds=0.01,
+                     auto_reconnect=False) as client:
+            pmids = client.lookup_names([METRIC])
+            faults.slow_responses(1, seconds=0.5)  # only the 1st attempt
+            values = client.fetch(pmids)
+            assert set(values) == set(pmids)
+            assert client.pmcd.timeouts == 1
+            assert client.pmcd.retries >= 1
 
     def test_stale_response_never_cross_wires(self, server, faults, node):
         """After a timeout the transport reconnects, so the stale
         response of the timed-out request cannot be mistaken for the
         answer to a later one."""
-        remote = _remote(server, request_timeout=0.08, max_retries=2,
-                         backoff_base_seconds=0.01)
-        client = PmapiContext(remote)
-        pmids = client.lookup_names([METRIC])
-        faults.slow_responses(1, seconds=0.3)
-        client.fetch(pmids)  # times out once, retried on a fresh socket
-        for _ in range(5):
-            values = client.fetch(pmids)
-            assert set(values) == set(pmids)
-        remote.close()
+        with connect(server, request_timeout=0.08, max_retries=2,
+                     backoff_base_seconds=0.01,
+                     auto_reconnect=False) as client:
+            pmids = client.lookup_names([METRIC])
+            faults.slow_responses(1, seconds=0.3)
+            client.fetch(pmids)  # times out once, retried on a new socket
+            for _ in range(5):
+                values = client.fetch(pmids)
+                assert set(values) == set(pmids)
+
+    def test_timed_out_transport_recovers_without_auto_reconnect(
+            self, server, faults):
+        """A call that ends in a timeout leaves no poisoned socket
+        behind: later calls dial afresh, even with auto_reconnect off,
+        and never read the stale responses."""
+        with connect(server, request_timeout=0.05, max_retries=1,
+                     auto_reconnect=False) as client:
+            pmids = client.lookup_names(METRICS)
+            faults.slow_responses(2, seconds=0.1)
+            with pytest.raises(PCPTimeout):
+                client.fetch(pmids)
+            for pmid in pmids:
+                assert set(client.fetch([pmid])) == {pmid}
 
 
 class TestDaemonRestart:
     def test_restart_mid_session_sets_gap_flag(self, server, node, faults):
-        remote = _remote(server, auto_reconnect=True, max_retries=3,
+        client = connect(server, auto_reconnect=True, max_retries=3,
                          backoff_base_seconds=0.005)
-        client = PmapiContext(remote)
         pmids = client.lookup_names([METRIC])
         node.socket(0).record_traffic(read_bytes=8 * 64)
         before = client.fetch(pmids)
@@ -174,11 +171,11 @@ class TestDaemonRestart:
         # through the daemon outage.
         instance = next(iter(before[pmids[0]]))
         assert after[pmids[0]][instance] == 128
-        remote.close()
+        client.close()
 
     def test_restart_invalidates_lookup_cache(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd, cache_lookups=True)
+        client = connect(pmcd, cache_lookups=True)
         client.lookup_names([METRIC])
         assert client.lookup_names([METRIC])  # served from cache
         assert client.cached_lookups == 1
@@ -192,7 +189,7 @@ class TestDaemonRestart:
 
     def test_in_process_restart_gap(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         pmids = client.lookup_names([METRIC])
         client.fetch(pmids)
         pmcd.restart()
@@ -201,8 +198,8 @@ class TestDaemonRestart:
 
     def test_pmlogger_marks_gap_and_rates_skip_it(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd, node=node)
-        logger = PmLogger(client, [METRIC], interval_seconds=1.0)
+        client = connect(pmcd, node=node)
+        logger = client.log([METRIC], interval_seconds=1.0)
 
         node.socket(0).record_traffic(read_bytes=64 * 64)
         logger.sample()
@@ -231,7 +228,7 @@ class TestDaemonRestart:
 
     def test_stopped_daemon_still_refuses(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         pmcd.running = False
         with pytest.raises(PCPError):
             client.lookup_names([METRIC])

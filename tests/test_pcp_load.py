@@ -44,6 +44,12 @@ class TestHealthyRun:
         naive = small_load(seed=3, coalesce=False)
         assert naive["coalesced"] == 0
         assert coalesced["coalesced"] > 0
+        # Without coalescing every fetch PDU pays its own PMDA reads;
+        # with it, fetches share reads.
+        assert naive["pmda_fetch_calls"] == (naive["total_fetches"]
+                                             * naive["pmids_per_fetch"])
+        assert coalesced["pmda_fetch_calls"] < (
+            coalesced["total_fetches"] * coalesced["pmids_per_fetch"])
 
 
 class TestFaultScenarios:

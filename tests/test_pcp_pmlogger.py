@@ -6,9 +6,8 @@ from repro.errors import PCPError
 from repro.machine.config import SUMMIT
 from repro.machine.node import Node
 from repro.noise import QUIET
-from repro.pcp.client import PmapiContext
+from repro.pcp import connect
 from repro.pcp.pmcd import start_pmcd_for_node
-from repro.pcp.pmlogger import PmLogger
 from repro.pmu.events import pcp_metric_name
 
 METRIC = pcp_metric_name(0, write=False)
@@ -22,8 +21,7 @@ def node():
 @pytest.fixture
 def logger(node):
     pmcd = start_pmcd_for_node(node, round_trip_seconds=0.0)
-    context = PmapiContext(pmcd, node=node)
-    return PmLogger(context, [METRIC], interval_seconds=0.5)
+    return connect(pmcd, node=node).log([METRIC], interval_seconds=0.5)
 
 
 class TestSampling:
@@ -64,22 +62,22 @@ class TestSampling:
 
     def test_validation(self, node):
         pmcd = start_pmcd_for_node(node)
-        context = PmapiContext(pmcd, node=node)
+        context = connect(pmcd, node=node)
         with pytest.raises(PCPError):
-            PmLogger(context, [], interval_seconds=1.0)
+            context.log([], interval_seconds=1.0)
         with pytest.raises(PCPError):
-            PmLogger(context, [METRIC], interval_seconds=0.0)
+            context.log([METRIC], interval_seconds=0.0)
         with pytest.raises(PCPError):
-            PmLogger(context, ["no.such.metric"])
+            context.log(["no.such.metric"])
 
     def test_background_bandwidth_curve(self):
         """End-to-end: log a noisy node and recover its background
         bandwidth via rate conversion (the pmlogger use case)."""
         node = Node(SUMMIT, seed=6)  # default noise
         pmcd = start_pmcd_for_node(node, round_trip_seconds=0.0)
-        logger = PmLogger(PmapiContext(pmcd, node=node),
-                          [pcp_metric_name(ch, False) for ch in range(8)],
-                          interval_seconds=1.0)
+        logger = connect(pmcd, node=node).log(
+            [pcp_metric_name(ch, False) for ch in range(8)],
+            interval_seconds=1.0)
         logger.run(6)
         total_rate = 0.0
         for ch in range(8):

@@ -5,12 +5,10 @@ import pytest
 from repro.machine.config import SUMMIT
 from repro.machine.node import Node
 from repro.noise import QUIET
-from repro.pcp import protocol
-from repro.pcp.client import PmapiContext
+from repro.pcp import connect, protocol
+from repro.pcp.aserver import AsyncPMCDServer
 from repro.pcp.pmcd import start_pmcd_for_node
-from repro.pcp.server import (
-    PMCDServer,
-    RemotePMCD,
+from repro.pcp.protocol import (
     decode_request,
     decode_response,
     encode_request,
@@ -28,9 +26,9 @@ def node():
 
 @pytest.fixture
 def server(node):
-    server = PMCDServer(start_pmcd_for_node(node)).start()
+    server = AsyncPMCDServer(start_pmcd_for_node(node)).start_in_thread()
     yield server
-    server.stop()
+    server.stop_in_thread()
 
 
 class TestWireEncoding:
@@ -60,46 +58,31 @@ class TestWireEncoding:
 
 class TestOverTheWire:
     def test_lookup_and_fetch(self, server, node):
-        remote = RemotePMCD(*server.address, round_trip_seconds=0.0)
-        try:
-            client = PmapiContext(remote, node=node)
+        with connect(server, node=node) as client:
             node.socket(0).record_traffic(read_bytes=8 * 64)
             assert client.fetch_one(METRIC, "cpu87") == 64
-        finally:
-            remote.close()
 
     def test_remote_traverse(self, server):
-        remote = RemotePMCD(*server.address, round_trip_seconds=0.0)
-        try:
-            metrics = list(remote.pmns.traverse("perfevent"))
+        with connect(server) as client:
+            metrics = list(client.pmcd.pmns.traverse("perfevent"))
             assert len(metrics) == 16
             assert METRIC in metrics
-        finally:
-            remote.close()
 
     def test_unknown_name_over_wire(self, server, node):
-        remote = RemotePMCD(*server.address, round_trip_seconds=0.0)
-        try:
-            client = PmapiContext(remote, node=node)
+        with connect(server, node=node) as client:
             with pytest.raises(Exception):
                 client.lookup_names(["no.such.metric"])
-        finally:
-            remote.close()
 
     def test_full_papi_stack_over_tcp(self, server, node):
         """The PAPI PCP component works unchanged across the socket."""
         from repro.papi.components.pcp import PCPComponent
         from repro.papi.papi import Papi
 
-        remote = RemotePMCD(*server.address, round_trip_seconds=0.0)
-        try:
+        with connect(server, node=node) as context:
             papi = Papi(node)  # no local pmcd
-            context = PmapiContext(remote, node=node)
             papi.components.register(PCPComponent(context, node))
             es = papi.create_eventset()
             es.add_event(f"pcp:::{METRIC}:cpu87")
             es.start()
             node.socket(0).record_traffic(read_bytes=8 * 64 * 5)
             assert es.stop() == [320]
-        finally:
-            remote.close()

@@ -1,7 +1,7 @@
 """Daemon overhead as a first-class metric.
 
 The pmcd.* self-metrics PMDA, the client/daemon overhead report
-surfaced through ``MeasurementSession``, and the ``pcp-stress`` CLI
+surfaced through ``MeasurementSession``, and the ``pcp-load`` CLI
 command.
 """
 
@@ -12,9 +12,8 @@ import pytest
 from repro.machine.config import SUMMIT
 from repro.machine.node import Node
 from repro.noise import QUIET
-from repro.pcp.client import PmapiContext
+from repro.pcp import AsyncPMCDServer, connect
 from repro.pcp.pmcd import start_pmcd_for_node
-from repro.pcp.server import PMCDServer, RemotePMCD
 from repro.pmu.events import pcp_metric_name
 
 METRIC = pcp_metric_name(0, write=False)
@@ -28,7 +27,7 @@ def node():
 class TestPmcdSelfMetrics:
     def test_pmcd_metrics_in_namespace(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         metrics = client.traverse("pmcd")
         assert "pmcd.requests.total" in metrics
         assert "pmcd.fetch.pmda_calls" in metrics
@@ -37,12 +36,12 @@ class TestPmcdSelfMetrics:
     def test_self_metrics_opt_out(self, node):
         pmcd = start_pmcd_for_node(node, self_metrics=False)
         assert len(pmcd.agents) == 1
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         assert client.traverse("perfevent")
 
     def test_request_counts_readable_through_fetch(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         client.lookup_names([METRIC])
         count = client.fetch_one("pmcd.requests.total", "pmcd")
         assert count >= 2  # the lookup(s) plus this fetch
@@ -67,7 +66,7 @@ class TestPmcdSelfMetrics:
 
     def test_lookup_cache_hits_counted(self, node):
         pmcd = start_pmcd_for_node(node)
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         client.lookup_names([METRIC])
         client.lookup_names([METRIC])  # same names tuple: daemon cache
         assert pmcd.stats.lookup_cache_hits >= 1
@@ -90,35 +89,34 @@ class TestSessionOverheadReport:
         assert quiet_tellico_session.daemon_overhead() == {}
 
     def test_remote_context_includes_transport_stats(self, node):
-        server = PMCDServer(start_pmcd_for_node(node)).start()
+        server = AsyncPMCDServer(start_pmcd_for_node(node)).start_in_thread()
         try:
-            remote = RemotePMCD(*server.address, round_trip_seconds=0.0)
-            client = PmapiContext(remote)
-            client.lookup_names([METRIC])
-            overhead = client.daemon_overhead()
+            with connect(server) as client:
+                client.lookup_names([METRIC])
+                overhead = client.daemon_overhead()
             assert overhead["transport.requests"] >= 1
             assert overhead["transport.retries"] == 0
-            remote.close()
         finally:
-            server.stop()
+            server.stop_in_thread()
 
 
 class TestStressCLI:
-    def test_pcp_stress_command(self, capsys):
+    def test_pcp_load_command(self, capsys):
         from repro.cli import main
 
-        assert main(["pcp-stress", "--clients", "4", "--fetches", "6"]) == 0
+        assert main(["pcp-load", "--contexts", "4",
+                     "--duration", "0.3"]) == 0
         out = capsys.readouterr().out
         assert "cross_wired" in out
         assert "pmda_fetch_calls" in out
 
-    def test_pcp_stress_json(self, capsys):
+    def test_pcp_load_json(self, capsys):
         from repro.cli import main
 
-        assert main(["pcp-stress", "--clients", "2", "--fetches", "4",
+        assert main(["pcp-load", "--contexts", "4", "--duration", "0.3",
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["clients"] == 2
+        assert report["contexts"] == 4
         assert report["errors"] == []
         assert report["cross_wired"] == 0
 
@@ -126,4 +124,8 @@ class TestStressCLI:
         from repro.cli import main
 
         assert main(["--list"]) == 0
-        assert "pcp-stress" in capsys.readouterr().out
+        commands = {line.split()[0]
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.strip()}
+        # pcp-load is the one PCP service command.
+        assert {c for c in commands if c.startswith("pcp-")} == {"pcp-load"}

@@ -1,8 +1,7 @@
-"""The redesigned ``pcp.connect()`` session surface.
+"""The ``pcp.connect()`` session surface.
 
-One entry point replaces the three historical clients; the old names
-must keep working as deprecated shims whose behaviour is bit-identical
-to the session classes they wrap (the golden figures pin the
+One entry point serves every deployment shape: in-process daemons,
+TCP servers and the asyncio client (the golden figures pin the
 measurement path itself).
 """
 
@@ -17,16 +16,19 @@ from repro.machine.node import Node
 from repro.noise import QUIET
 from repro.pcp import connect
 from repro.pcp.archive import MetricArchive
-from repro.pcp.client import PmapiContext
+from repro.pcp.aserver import AsyncPMCDServer
 from repro.pcp.pmcd import start_pmcd_for_node
-from repro.pcp.pmlogger import PmLogger
 from repro.pcp.protocol import (
     PROTOCOL_VERSION,
     ErrorResponse,
     PCPStatus,
 )
-from repro.pcp.server import PMCDServer, RemotePMCD, RemoteTransport
-from repro.pcp.session import AsyncPcpSession, PcpSession, SessionLogger
+from repro.pcp.session import (
+    AsyncPcpSession,
+    PcpSession,
+    RemoteTransport,
+    SessionLogger,
+)
 from repro.pmu.events import pcp_metric_name
 
 METRIC = pcp_metric_name(0, write=False)
@@ -34,13 +36,9 @@ METRICS = [pcp_metric_name(ch, write) for ch in range(2)
            for write in (False, True)]
 
 
-def make_node(seed=7):
-    return Node(SUMMIT, seed=seed, noise=QUIET)
-
-
 @pytest.fixture
 def node():
-    return make_node()
+    return Node(SUMMIT, seed=7, noise=QUIET)
 
 
 @pytest.fixture
@@ -56,21 +54,21 @@ class TestConnect:
         assert set(session.fetch(pmids)) == set(pmids)
 
     def test_server_object_dials_tcp(self, pmcd):
-        server = PMCDServer(pmcd).start()
+        server = AsyncPMCDServer(pmcd).start_in_thread()
         try:
             with connect(server) as session:
                 assert isinstance(session.pmcd, RemoteTransport)
                 assert session.fetch_one(METRIC, "cpu87") >= 0
         finally:
-            server.stop()
+            server.stop_in_thread()
 
     def test_host_port_string(self, pmcd):
-        server = PMCDServer(pmcd).start()
+        server = AsyncPMCDServer(pmcd).start_in_thread()
         try:
             with connect("%s:%d" % server.address) as session:
                 assert session.traverse("pmcd")
         finally:
-            server.stop()
+            server.stop_in_thread()
 
     def test_async_mode_returns_async_session(self, pmcd):
         session = connect(pmcd, mode="async")
@@ -109,67 +107,11 @@ class TestConnect:
 
 
 class TestDeprecatedShims:
-    def test_pmapi_context_warns_once(self, pmcd, node):
-        with pytest.deprecated_call():
-            PmapiContext(pmcd, node=node)
-
-    def test_pmlogger_warns_once(self, pmcd, node):
-        session = connect(pmcd, node=node)
-        with pytest.deprecated_call():
-            PmLogger(session, [METRIC])
-
-    def test_remote_pmcd_warns_once(self, pmcd):
-        server = PMCDServer(pmcd).start()
-        try:
-            with pytest.deprecated_call():
-                remote = RemotePMCD(*server.address,
-                                    round_trip_seconds=0.0)
-            remote.close()
-        finally:
-            server.stop()
-
     def test_session_classes_do_not_warn(self, pmcd, node):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             session = PcpSession(pmcd, node=node)
             SessionLogger(session, [METRIC])
-
-    def _drive(self, context, node):
-        """The fig2-style measurement loop: resolve, fetch, advance."""
-        out = []
-        pmids = context.lookup_names(METRICS)
-        for step in range(4):
-            node.socket(0).record_traffic(
-                read_bytes=64 * (step + 1) * 100,
-                write_bytes=64 * (step + 1) * 10)
-            node.advance(0.5, background=False)
-            values = context.fetch(pmids)
-            out.append((context.last_fetch_timestamp,
-                        sorted((pmid, tuple(sorted(v.items())))
-                               for pmid, v in values.items())))
-        out.append((context.round_trips, context.gaps))
-        return out
-
-    def test_shim_and_session_paths_identical(self):
-        """The golden-figure acceptance: the shim and the redesigned
-        session produce bit-identical accounting on the same seed."""
-        node_a = make_node()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = PmapiContext(
-                start_pmcd_for_node(node_a, round_trip_seconds=0.0),
-                node=node_a)
-        node_b = make_node()
-        session = connect(
-            start_pmcd_for_node(node_b, round_trip_seconds=0.0),
-            node=node_b)
-        assert self._drive(shim, node_a) == self._drive(session, node_b)
-
-    def test_shim_is_a_session(self, pmcd, node):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = PmapiContext(pmcd, node=node)
-        assert isinstance(shim, PcpSession)
 
 
 class TestSessionLoggerStore:

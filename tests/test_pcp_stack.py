@@ -6,7 +6,7 @@ from repro.errors import PCPError
 from repro.machine.config import SUMMIT
 from repro.machine.node import Node
 from repro.noise import QUIET
-from repro.pcp.client import PmapiContext
+from repro.pcp import connect
 from repro.pcp.pmcd import start_pmcd_for_node
 from repro.pcp.pmda import PerfeventPMDA, make_pmid, pmid_domain
 from repro.pcp.protocol import (
@@ -110,7 +110,7 @@ class TestPMCD:
 
 class TestClientContext:
     def test_fetch_one(self, pmcd, node):
-        client = PmapiContext(pmcd, node=node)
+        client = connect(pmcd, node=node)
         node.socket(1).record_traffic(write_bytes=8 * 64)
         value = client.fetch_one(
             "perfevent.hwcounters.nest_mba0_imc.PM_MBA0_WRITE_BYTES.value",
@@ -118,12 +118,12 @@ class TestClientContext:
         assert value == 64
 
     def test_unknown_name_raises(self, pmcd, node):
-        client = PmapiContext(pmcd, node=node)
+        client = connect(pmcd, node=node)
         with pytest.raises(PCPError):
             client.lookup_names(["bogus.metric"])
 
     def test_unknown_instance_raises(self, pmcd, node):
-        client = PmapiContext(pmcd, node=node)
+        client = connect(pmcd, node=node)
         with pytest.raises(PCPError):
             client.fetch_one(
                 "perfevent.hwcounters.nest_mba0_imc."
@@ -131,7 +131,7 @@ class TestClientContext:
 
     def test_round_trips_advance_clock(self, node):
         pmcd = start_pmcd_for_node(node, round_trip_seconds=1e-3)
-        client = PmapiContext(pmcd, node=node)
+        client = connect(pmcd, node=node)
         client.traverse("perfevent")
         client.lookup_names([
             "perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value"])
@@ -139,16 +139,16 @@ class TestClientContext:
         assert client.round_trips == 2
 
     def test_traverse(self, pmcd, node):
-        client = PmapiContext(pmcd, node=node)
+        client = connect(pmcd, node=node)
         metrics = client.traverse("perfevent")
         assert len(metrics) == 16
 
     def test_children_via_client(self, pmcd):
-        client = PmapiContext(pmcd)
+        client = connect(pmcd)
         assert client.children("perfevent.hwcounters.nest_mba0_imc") == \
             ["PM_MBA0_READ_BYTES", "PM_MBA0_WRITE_BYTES"]
 
     def test_free_running_client_no_clock(self, pmcd, node):
-        client = PmapiContext(pmcd, node=None)
+        client = connect(pmcd, node=None)
         client.traverse("perfevent")
         assert node.clock == 0.0
