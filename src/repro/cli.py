@@ -5,6 +5,7 @@ Examples::
     repro-experiments --list
     repro-experiments fig3
     repro-experiments fig11 --seed 42
+    repro-experiments --check-golden tests/golden fig2 fig3
     python -m repro.cli fig5
     python -m repro.cli bench --compare benchmarks/baseline.json
 """
@@ -16,7 +17,13 @@ import json
 import sys
 from typing import List, Optional
 
-from .experiments import all_experiments, run_experiment
+from .experiments import (
+    all_experiments,
+    get_experiment,
+    golden_mismatch,
+    plain_cell,
+    run_experiment,
+)
 
 
 def _result_to_json(result) -> str:
@@ -25,15 +32,28 @@ def _result_to_json(result) -> str:
         "experiment_id": result.experiment_id,
         "title": result.title,
         "headers": list(result.headers),
-        "rows": [list(map(_plain, row)) for row in result.rows],
+        "rows": [list(map(plain_cell, row)) for row in result.rows],
         "notes": result.notes,
     }, indent=2)
 
 
-def _plain(cell):
-    if isinstance(cell, (int, float, str, bool)) or cell is None:
-        return cell
-    return str(cell)
+def _check_golden(directory: str, ids: List[str]) -> int:
+    """Compare each experiment (all when ``ids`` is empty) with its
+    fixture in ``directory``; exit 1 on any mismatch or missing one."""
+    ids = ids or [e.experiment_id for e in all_experiments()]
+    for experiment_id in ids:
+        get_experiment(experiment_id)  # an unknown id raises up front
+    failed = 0
+    for experiment_id in ids:
+        mismatch = golden_mismatch(directory, experiment_id)
+        if mismatch is None:
+            print(f"ok        {experiment_id}")
+        else:
+            failed += 1
+            print(f"MISMATCH  {mismatch}")
+    print(f"{len(ids) - failed} of {len(ids)} experiments match "
+          f"the fixtures in {directory}")
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,6 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true",
                         help="also render ASCII log-log plots of the "
                              "figure's sweeps (where available)")
+    parser.add_argument("--check-golden", nargs="+", metavar=("DIR", "ID"),
+                        help="run the listed experiments (all when none "
+                             "are listed) at the default seed and compare "
+                             "each with DIR/<id>.json; print the first "
+                             "diverging row of each mismatch and exit 1 "
+                             "on any mismatch or missing fixture")
     return parser
 
 
@@ -822,6 +848,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("sample      SPE/PEBS-style sampling profiler with "
               "accuracy report (sample --help)")
         return 0
+    if args.check_golden:
+        directory, *ids = args.check_golden
+        if args.experiment:
+            ids.insert(0, args.experiment)
+        return _check_golden(directory, ids)
     render = _result_to_json if args.json else (lambda r: r.render())
     if args.all:
         for exp in all_experiments():

@@ -11,6 +11,10 @@ state that the PAPI components observe. Running a kernel
 * advances the node clock by a roofline runtime estimate, during which
   background traffic also accumulates.
 
+All repetitions of a run are drawn, recorded and clocked at once, with
+the values and generator state of running them one by one (DESIGN.md
+§6.7).
+
 Batched kernels (one independent instance per core, the paper's
 "batched GEMM/GEMV") are expressed with ``n_cores > 1``.
 """
@@ -18,6 +22,8 @@ Batched kernels (one independent instance per core, the paper's
 from __future__ import annotations
 
 import dataclasses
+
+import numpy as np
 
 from ..errors import ConfigurationError
 from ..machine.cache import TrafficCounters
@@ -100,6 +106,9 @@ class Executor:
                 f"n_cores={n_cores} not in 1..{len(usable)} for socket "
                 f"{socket_id} of {self.node.config.name}"
             )
+        if repetitions < 1:
+            raise ConfigurationError(
+                f"repetitions={repetitions} must be >= 1")
         cores = usable[:n_cores]
         for c in cores:
             c.mark_busy(True)
@@ -114,19 +123,29 @@ class Executor:
                 kernel.flops(), per_core.total_bytes / efficiency,
                 active_cores_on_socket=n_cores,
             )
-            noise = self.node.noise_model(socket_id)
-            recorded = TrafficCounters()
-            for _ in range(repetitions):
-                factor = noise.capture_factor(runtime) if noisy else 1.0
-                rep = true_one_rep.scaled(factor)
-                if noisy:
-                    # Fresh buffers per repetition: first-touch traffic.
-                    rep.add(noise.per_rep_traffic())
-                sock.record_traffic(rep.read_bytes, rep.write_bytes)
-                recorded.add(rep)
-                if advance_clock:
-                    self.node.advance(runtime,
-                                      background=background and noisy)
+            step_background = background and noisy
+            drawn = None
+            if noisy:
+                draws = self.node.noise_model(socket_id).repetition_draws(
+                    repetitions, runtime,
+                    step_seconds=(runtime if advance_clock and step_background
+                                  else 0.0))
+                # Fresh buffers per repetition add first-touch traffic.
+                capture, first_touch = draws.capture, draws.first_touch
+                if draws.background is not None:
+                    drawn = {socket_id: draws.background}
+            else:
+                capture, first_touch = np.ones(repetitions), 0
+            true = np.array([true_one_rep.read_bytes,
+                             true_one_rep.write_bytes])
+            reps = (np.rint(capture[:, None] * true).astype(np.int64)
+                    + first_touch)
+            sock.memory.record_many(reps)
+            if advance_clock:
+                self.node.advance_steps(runtime, repetitions,
+                                        background=step_background,
+                                        drawn=drawn)
+            recorded = TrafficCounters(*reps.sum(axis=0).tolist())
             # Core-private PMU accounting: each core retires its own
             # instance's work (batched semantics).
             for c in cores:

@@ -2,9 +2,11 @@
 
 Use :func:`run_experiment` with an id from :func:`all_experiments`
 (``table1``, ``table2``, ``fig2`` ... ``fig12``), or the
-``repro-experiments`` command line tool.
+``repro-experiments`` command line tool. :func:`golden_mismatch`
+compares an experiment with its frozen fixture.
 """
 
+from .golden import golden_mismatch, plain_cell
 from .registry import (
     Experiment,
     ExperimentResult,
@@ -21,5 +23,7 @@ __all__ = [
     "ExperimentResult",
     "all_experiments",
     "get_experiment",
+    "golden_mismatch",
+    "plain_cell",
     "run_experiment",
 ]

@@ -18,6 +18,16 @@ from .config import SocketConfig
 from .prefetch import StreamDetector
 
 
+class BusyTally:
+    """Number of busy cores, shared by the cores of one socket so that
+    reading it costs O(1) (:meth:`Core.mark_busy` keeps it)."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
 @dataclasses.dataclass
 class Core:
     """One physical core."""
@@ -26,10 +36,13 @@ class Core:
     socket_id: int
     local_id: int       # index within the socket
     config: SocketConfig
-    busy: bool = False
+    busy: bool = False  # change through mark_busy, which keeps the tally
     reserved: bool = False  # set aside for system service tasks
+    tally: BusyTally = dataclasses.field(
+        default_factory=BusyTally, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.tally.count += self.busy
         self.detector = StreamDetector(self.config.prefetch)
         # Core-private PMU counters (unprivileged — unlike the nest).
         self.counter_cycles = 0
@@ -79,4 +92,5 @@ class Core:
             raise SimulationError(
                 f"core {self.core_id} is reserved for system service tasks"
             )
+        self.tally.count += busy - self.busy
         self.busy = busy

@@ -21,8 +21,9 @@ from __future__ import annotations
 import dataclasses
 from typing import List
 
+import numpy as np
+
 from ..errors import SimulationError
-from ..units import transactions
 
 
 @dataclasses.dataclass
@@ -48,22 +49,30 @@ class MemoryController:
     # ------------------------------------------------------------------
     def record_read(self, nbytes: int) -> None:
         """Record ``nbytes`` of read traffic (rounded up to granules)."""
-        self._read_txns += self._transactions(nbytes)
+        self.record(read_bytes=nbytes)
 
     def record_write(self, nbytes: int) -> None:
         """Record ``nbytes`` of write traffic (rounded up to granules)."""
-        self._write_txns += self._transactions(nbytes)
+        self.record(write_bytes=nbytes)
 
     def record(self, read_bytes: int = 0, write_bytes: int = 0) -> None:
-        if read_bytes:
-            self.record_read(read_bytes)
-        if write_bytes:
-            self.record_write(write_bytes)
-
-    def _transactions(self, nbytes: int) -> int:
-        if nbytes < 0:
+        """Record one read and one write, each rounded up to granules."""
+        if read_bytes < 0 or write_bytes < 0:
             raise SimulationError("traffic cannot be negative")
-        return transactions(int(nbytes), self.granule)
+        self._read_txns += -(-int(read_bytes) // self.granule)
+        self._write_txns += -(-int(write_bytes) // self.granule)
+
+    def record_many(self, traffic: np.ndarray) -> None:
+        """Record each row of an ``(n, 2)`` integer array of (read,
+        write) bytes: the counts of ``n`` :meth:`record` calls, every
+        row rounded up to granules on its own."""
+        if traffic.min() < 0:
+            raise SimulationError("traffic cannot be negative")
+        granule = self.granule
+        txns = (traffic + (granule - 1)) // granule
+        read, write = txns.sum(axis=0).tolist()
+        self._read_txns += read
+        self._write_txns += write
 
     # ------------------------------------------------------------------
     def channel_bytes(self, channel: int, is_write: bool) -> int:

@@ -10,13 +10,16 @@ references to the node's nest blocks and device counters.
 
 from __future__ import annotations
 
-from typing import List, Optional
+import math
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 from ..noise import NoiseConfig, NoiseModel
 from ..rng import derive_seed
 from .config import MachineConfig
-from .core import Core
+from .core import BusyTally, Core
 from .hierarchy import L3Topology
 from .memory import MemoryController
 from .nest import NestCounterBlock
@@ -36,6 +39,7 @@ class Socket:
         )
         self.nest = NestCounterBlock(socket_id, self.memory)
         self.topology = L3Topology(cfg, machine.usable_cores_per_socket)
+        self._busy = BusyTally()
         self.cores: List[Core] = []
         for local_id in range(cfg.n_cores):
             core = Core(
@@ -44,6 +48,7 @@ class Socket:
                 local_id=local_id,
                 config=cfg,
                 reserved=local_id >= machine.usable_cores_per_socket,
+                tally=self._busy,
             )
             self.cores.append(core)
 
@@ -53,7 +58,7 @@ class Socket:
 
     @property
     def active_core_count(self) -> int:
-        return sum(1 for c in self.cores if c.busy)
+        return self._busy.count
 
     def record_traffic(self, read_bytes: int = 0, write_bytes: int = 0) -> None:
         self.memory.record(read_bytes=read_bytes, write_bytes=write_bytes)
@@ -81,9 +86,9 @@ class Node:
         # upward dependencies; see repro.gpu / repro.mpi.network.
         self.gpus: List = []
         self.nics: List = []
-        # Clock listeners: called with dt after every advance, while
-        # machine state (busy cores etc.) still reflects the interval —
-        # energy models integrate power here.
+        # Clock listeners: called with (dt, steps) after every advance,
+        # while machine state (busy cores etc.) still reflects the
+        # interval — energy models integrate power here.
         self._clock_listeners: List = []
         self._attach_devices()
 
@@ -135,22 +140,61 @@ class Node:
         Background traffic lands in every socket's memory controller
         unless ``background`` is disabled (pure traffic-law tests).
         """
-        if dt < 0:
-            raise SimulationError("time cannot flow backwards")
+        _check_step(dt)
         if dt == 0:
             return
         self.clock += dt
         if background:
             for sock, model in zip(self.sockets, self._noise_models):
-                bg = model.background_traffic(dt)
-                sock.record_traffic(bg.read_bytes, bg.write_bytes)
+                sock.memory.record(*model.background_bytes(dt))
         for listener in self._clock_listeners:
-            listener(dt)
+            listener(dt, 1)
+
+    def advance_steps(self, dt: float, steps: int, background: bool = True,
+                      drawn: Optional[Dict[int, np.ndarray]] = None) -> None:
+        """Advance the clock by ``steps`` equal steps of ``dt`` at once.
+
+        The clock, every counter and every noise stream end as after
+        ``steps`` calls of :meth:`advance`: the clock adds ``dt`` once
+        per step, each socket's background is drawn in one call, and
+        each listener is called once with ``(dt, steps)``. ``drawn``
+        maps a socket id to the ``(steps, 2)`` background bytes its
+        caller already drew from that socket's noise stream,
+        interleaved with its own draws (see
+        :meth:`NoiseModel.repetition_draws`).
+        """
+        _check_step(dt)
+        if steps < 1:
+            raise SimulationError(f"steps={steps} must be >= 1")
+        if dt == 0:
+            return
+        clock = self.clock
+        for _ in range(steps):
+            clock += dt
+        self.clock = clock
+        if background:
+            drawn = drawn or {}
+            for sid, (sock, model) in enumerate(
+                    zip(self.sockets, self._noise_models)):
+                bg = drawn.get(sid)
+                if bg is None:
+                    bg = model.background_steps(dt, steps)
+                sock.memory.record_many(bg)
+        for listener in self._clock_listeners:
+            listener(dt, steps)
 
     def on_advance(self, listener) -> None:
-        """Register a callable invoked with ``dt`` after every clock
-        advance (used by energy models to integrate power)."""
+        """Register a callable invoked with ``(dt, steps)`` after every
+        clock advance of ``steps`` equal steps of ``dt`` (used by energy
+        models to integrate power)."""
         self._clock_listeners.append(listener)
 
     def noise_model(self, socket_id: int) -> NoiseModel:
         return self._noise_models[socket_id]
+
+
+def _check_step(dt: float) -> None:
+    if dt < 0:
+        raise SimulationError("time cannot flow backwards")
+    if not math.isfinite(dt):
+        raise SimulationError(f"clock step must be finite, got {dt}")

@@ -30,7 +30,7 @@ suppresses 2 by :math:`1/\\sqrt{reps}` — exactly the paper's remedy.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -92,6 +92,19 @@ QUIET = NoiseConfig(
 )
 
 
+class RepetitionDraws(NamedTuple):
+    """Noise of ``n`` back-to-back kernel repetitions, drawn in one call
+    (see :meth:`NoiseModel.repetition_draws`)."""
+
+    #: ``(n,)`` capture factors (all 1.0 when capture jitter is off).
+    capture: np.ndarray
+    #: ``(n, 2)`` int64 first-touch (read, write) bytes per repetition.
+    first_touch: np.ndarray
+    #: ``(n, 2)`` int64 background (read, write) bytes of each
+    #: repetition's clock step, or None when no step background was drawn.
+    background: Optional[np.ndarray]
+
+
 class NoiseModel:
     """Seeded sampler for the three noise mechanisms.
 
@@ -108,15 +121,38 @@ class NoiseModel:
     # ------------------------------------------------------------------
     def background_traffic(self, window_seconds: float) -> TrafficCounters:
         """Background bytes landing in a window of given length."""
+        return TrafficCounters(*self.background_bytes(window_seconds))
+
+    def background_bytes(self, window_seconds: float) -> Tuple[int, int]:
+        """``(read, write)`` background bytes of one window: the read
+        and the write jitter come from one two-value draw."""
         cfg = self.config
         if window_seconds <= 0:
-            return TrafficCounters()
-        jitter_r = self._lognormal(cfg.background_sigma)
-        jitter_w = self._lognormal(cfg.background_sigma)
-        return TrafficCounters(
-            read_bytes=int(cfg.background_read_rate * window_seconds * jitter_r),
-            write_bytes=int(cfg.background_write_rate * window_seconds * jitter_w),
-        )
+            return 0, 0
+        sigma = cfg.background_sigma
+        if sigma == 0.0:
+            jitter_r = jitter_w = 1.0
+        else:
+            jitter_r, jitter_w = np.exp(self._rng.normal(
+                -0.5 * sigma * sigma, sigma, 2)).tolist()
+        return (int(cfg.background_read_rate * window_seconds * jitter_r),
+                int(cfg.background_write_rate * window_seconds * jitter_w))
+
+    def background_steps(self, dt: float, steps: int) -> np.ndarray:
+        """``(steps, 2)`` int64 background (read, write) bytes of
+        ``steps`` windows of ``dt`` seconds each, drawn in one call:
+        the same values and generator state as ``steps`` calls of
+        :meth:`background_bytes`."""
+        cfg = self.config
+        sigma = cfg.background_sigma
+        if sigma == 0.0:
+            jitter = np.ones((steps, 2))
+        else:
+            jitter = np.exp(self._rng.normal(-0.5 * sigma * sigma, sigma,
+                                             (steps, 2)))
+        rates = np.array([cfg.background_read_rate * dt,
+                          cfg.background_write_rate * dt])
+        return (rates * jitter).astype(np.int64)
 
     def window_fixed_traffic(self) -> TrafficCounters:
         """Fixed per-measurement-window traffic (jittered sample).
@@ -155,6 +191,49 @@ class NoiseModel:
         sigma = cfg.capture_sigma0 / (1.0 + runtime_seconds / cfg.capture_time_scale)
         return float(max(0.0, self._rng.normal(1.0, sigma)))
 
+    def repetition_draws(self, repetitions: int, runtime_seconds: float,
+                         step_seconds: float = 0.0) -> RepetitionDraws:
+        """Noise of ``repetitions`` back-to-back kernel runs in one draw.
+
+        The values and the generator state equal those of drawing
+        repetition by repetition: :meth:`capture_factor`, then
+        :meth:`per_rep_traffic`, then -- when ``step_seconds > 0`` --
+        the :meth:`background_bytes` of a clock step of that length.
+        One ``normal`` call lays these columns out row by row, with
+        each column's own mean and sigma, and leaves out exactly the
+        columns the scalar calls skip (a zero ``capture_sigma0`` or
+        ``background_sigma``). DESIGN.md §6.7 gives the argument.
+        """
+        cfg = self.config
+        sigma = cfg.background_sigma
+        # Bytes per unit of jitter: first touch, then the step's background.
+        coef = [cfg.per_rep_read_bytes, cfg.per_rep_write_bytes]
+        if step_seconds > 0:
+            coef += [cfg.background_read_rate * step_seconds,
+                     cfg.background_write_rate * step_seconds]
+        loc, scale = [], []
+        if cfg.capture_sigma0 != 0.0:
+            loc.append(1.0)
+            scale.append(cfg.capture_sigma0
+                         / (1.0 + runtime_seconds / cfg.capture_time_scale))
+        if sigma != 0.0:
+            loc += [-0.5 * sigma * sigma] * len(coef)
+            scale += [sigma] * len(coef)
+        z = (self._rng.normal(loc, scale, (repetitions, len(loc)))
+             if loc else None)
+        if cfg.capture_sigma0 != 0.0:
+            capture = np.maximum(z[:, 0], 0.0)
+        else:
+            capture = np.ones(repetitions)
+        if sigma != 0.0:
+            # Contiguous, as a scalar np.exp argument is.
+            jitter = np.exp(np.ascontiguousarray(z[:, len(loc) - len(coef):]))
+        else:
+            jitter = np.ones((repetitions, len(coef)))
+        nbytes = (np.array(coef) * jitter).astype(np.int64)
+        return RepetitionDraws(capture, nbytes[:, :2],
+                               nbytes[:, 2:] if step_seconds > 0 else None)
+
     def perturb(self, true_traffic: TrafficCounters, runtime_seconds: float,
                 via_pcp: bool, repetitions: int = 1) -> TrafficCounters:
         """Measured traffic for ``repetitions`` back-to-back kernel runs.
@@ -172,14 +251,11 @@ class NoiseModel:
             self.config.background_sigma)
         fixed_w = self.config.fixed_write_bytes * self._lognormal(
             self.config.background_sigma)
-        total_read = 0.0
-        total_write = 0.0
-        for _ in range(repetitions):
-            factor = self.capture_factor(runtime_seconds)
-            rep_fixed = self.per_rep_traffic()
-            total_read += true_traffic.read_bytes * factor + rep_fixed.read_bytes
-            total_write += (true_traffic.write_bytes * factor
-                            + rep_fixed.write_bytes)
+        draws = self.repetition_draws(repetitions, runtime_seconds)
+        true = np.array([true_traffic.read_bytes, true_traffic.write_bytes])
+        # cumsum adds in repetition order, as a running total would.
+        total_read, total_write = np.cumsum(
+            draws.capture[:, None] * true + draws.first_touch, axis=0)[-1]
         return TrafficCounters(
             read_bytes=int((total_read + bg.read_bytes + fixed_r) / repetitions),
             write_bytes=int((total_write + bg.write_bytes + fixed_w) / repetitions),

@@ -29,11 +29,13 @@ PER_CORE_W = 8.0
 class PackageEnergyModel:
     """Integrates socket power over simulated time.
 
-    Registers a clock listener on the node: every clock advance adds
+    Registers a clock listener on the node: every clock step adds
     ``power · dt`` with the power level the socket had *during* the
     interval (kernel executors keep cores marked busy while they
     advance the clock), so measurement windows bracketing a kernel see
-    both the idle floor and the dynamic per-core energy.
+    both the idle floor and the dynamic per-core energy. An advance of
+    ``steps`` equal steps adds its ``steps`` equal increments one by
+    one, as ``steps`` single advances would.
     """
 
     def __init__(self, node: Node, socket_id: int):
@@ -46,8 +48,12 @@ class PackageEnergyModel:
         busy = self.node.socket(self.socket_id).active_core_count
         return IDLE_PACKAGE_W + PER_CORE_W * busy
 
-    def _integrate(self, dt: float) -> None:
-        self._energy_uj += self.current_power_w() * dt * 1e6
+    def _integrate(self, dt: float, steps: int) -> None:
+        increment = self.current_power_w() * dt * 1e6
+        energy = self._energy_uj
+        for _ in range(steps):
+            energy += increment
+        self._energy_uj = energy
 
     def read_uj(self) -> int:
         return int(self._energy_uj)

@@ -1,11 +1,14 @@
 """Core timing model and assembled node behaviour."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.machine.config import SUMMIT
 from repro.machine.node import Node
-from repro.noise import QUIET
+from repro.noise import QUIET, NoiseConfig
+from repro.papi.components.rapl import PackageEnergyModel
 
 
 class TestCore:
@@ -14,6 +17,17 @@ class TestCore:
         assert reserved.reserved
         with pytest.raises(SimulationError):
             reserved.mark_busy()
+        assert summit_node.socket(0).active_core_count == 0
+
+    def test_active_core_count_follows_marks(self, summit_node):
+        sock = summit_node.socket(0)
+        for core in sock.cores[:3]:
+            core.mark_busy(True)
+        sock.cores[0].mark_busy(True)   # already busy: counted once
+        sock.cores[1].mark_busy(False)
+        sock.cores[5].mark_busy(False)  # already idle
+        assert sock.active_core_count == 2
+        assert summit_node.socket(1).active_core_count == 0
 
     def test_usable_core_count(self, summit_node):
         assert len(summit_node.socket(0).usable_cores) == 21
@@ -91,6 +105,48 @@ class TestNode:
     def test_time_cannot_reverse(self, summit_node):
         with pytest.raises(SimulationError):
             summit_node.advance(-1.0)
+
+    @pytest.mark.parametrize("background", [True, False])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_non_finite_step_rejected(self, dt, background, batched):
+        node = Node(SUMMIT, seed=7)
+        node.advance(0.1)
+        clock = node.clock
+        reads = [s.memory.total_read_bytes for s in node.sockets]
+        with pytest.raises(SimulationError):
+            if batched:
+                node.advance_steps(dt, 3, background=background)
+            else:
+                node.advance(dt, background=background)
+        assert node.clock == clock
+        assert [s.memory.total_read_bytes for s in node.sockets] == reads
+
+    @pytest.mark.parametrize(
+        "noise", [None, QUIET, NoiseConfig(background_sigma=0.0)],
+        ids=["default", "quiet", "no-background-sigma"])
+    @pytest.mark.parametrize("background", [True, False])
+    @pytest.mark.parametrize("steps", [1, 7, 300])
+    def test_advance_steps_equals_single_steps(self, noise, background,
+                                               steps):
+        states = []
+        for batched in (True, False):
+            node = Node(SUMMIT, seed=9, noise=noise)
+            energy = [PackageEnergyModel(node, s) for s in range(2)]
+            node.socket(1).cores[0].mark_busy(True)
+            node.advance(0.37)
+            if batched:
+                node.advance_steps(2.1e-4, steps, background=background)
+            else:
+                for _ in range(steps):
+                    node.advance(2.1e-4, background=background)
+            states.append((
+                node.clock.hex(), [m._energy_uj.hex() for m in energy],
+                [(s.memory.total_read_bytes, s.memory.total_write_bytes)
+                 for s in node.sockets],
+                [node.noise_model(i)._rng.bit_generator.state
+                 for i in range(2)]))
+        assert states[0] == states[1]
 
     def test_sockets_have_independent_noise(self):
         node = Node(SUMMIT, seed=7)

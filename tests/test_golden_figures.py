@@ -11,37 +11,40 @@ the paper's figures report.
 
 import json
 import pathlib
+import shutil
 
 import pytest
 
-from repro.experiments import all_experiments, run_experiment
+from repro.cli import main
+from repro.experiments import all_experiments, golden_mismatch
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 EXPERIMENTS = tuple(e.experiment_id for e in all_experiments())
 
 
-def _plain(cell):
-    if isinstance(cell, (int, float, str, bool)) or cell is None:
-        return cell
-    return str(cell)
-
-
 @pytest.mark.parametrize("figure_id", EXPERIMENTS)
 def test_figure_matches_golden(figure_id):
-    with open(GOLDEN_DIR / f"{figure_id}.json") as fh:
-        golden = json.load(fh)
-    result = run_experiment(figure_id)
-    assert result.experiment_id == golden["experiment_id"]
-    assert result.title == golden["title"]
-    assert list(result.headers) == golden["headers"]
-    rows = [[_plain(c) for c in row] for row in result.rows]
-    assert len(rows) == len(golden["rows"])
-    for i, (got, want) in enumerate(zip(rows, golden["rows"])):
-        assert got == want, (
-            f"{figure_id} row {i} diverged from the frozen "
-            f"measurement:\n got: {got}\nwant: {want}")
+    mismatch = golden_mismatch(GOLDEN_DIR, figure_id)
+    assert mismatch is None, mismatch
 
 
 def test_fixtures_cover_all_figures():
     present = {p.stem for p in GOLDEN_DIR.glob("*.json")}
     assert present == set(EXPERIMENTS)
+
+
+def test_check_golden_cli_exit_codes(tmp_path, capsys):
+    assert main(["--check-golden", str(GOLDEN_DIR)]) == 0
+    assert f"{len(EXPERIMENTS)} of {len(EXPERIMENTS)}" in \
+        capsys.readouterr().out
+    shutil.copy(GOLDEN_DIR / "table1.json", tmp_path)
+    assert main(["--check-golden", str(tmp_path), "table1"]) == 0
+    fixture = json.loads((tmp_path / "table1.json").read_text())
+    fixture["rows"][1][2] = "changed"
+    (tmp_path / "table1.json").write_text(json.dumps(fixture))
+    capsys.readouterr()
+    assert main(["--check-golden", str(tmp_path), "table1"]) == 1
+    out = capsys.readouterr().out
+    assert "table1 row 1 diverged" in out and "'changed'" in out
+    assert main(["--check-golden", str(tmp_path), "table2"]) == 1
+    assert "no fixture" in capsys.readouterr().out
