@@ -27,10 +27,11 @@ Two access paths produce identical results (differential-tested):
   at chunk entry perform no installs or evictions, so their accesses
   are all hits and are retired wholesale with array ops ("calm"
   sets); the remaining ("turbulent") sets are replayed exactly, in
-  per-set program order, with runs of consecutive same-sector
-  accesses coalesced into single transitions. Under LRU, reads the
-  stack property guarantees to hit are retired with array ops before
-  that replay, so mostly misses and writes remain in Python.
+  per-set program order. Under LRU that replay is a reuse-distance
+  computation made of array passes (Mattson's stack property: a line
+  access hits iff fewer than ``assoc`` distinct lines of its set were
+  touched since its previous touch); FIFO, which has no stack
+  property, replays runs of same-sector accesses in a Python loop.
 
 Exactness of the split rests on two facts: replacement state is
 *per-set* (sets never interact), and a set with zero non-resident
@@ -47,6 +48,7 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import SimulationError
 from .config import CacheConfig
@@ -92,10 +94,11 @@ class _Line:
 
     __slots__ = ("valid_mask", "dirty_mask", "last_use")
 
-    def __init__(self) -> None:
-        self.valid_mask = 0
-        self.dirty_mask = 0
-        self.last_use = 0
+    def __init__(self, valid_mask: int = 0, dirty_mask: int = 0,
+                 last_use: int = 0) -> None:
+        self.valid_mask = valid_mask
+        self.dirty_mask = dirty_mask
+        self.last_use = last_use
 
 
 def _floordiv(arr: np.ndarray, divisor: int) -> np.ndarray:
@@ -147,6 +150,72 @@ def expand_to_sectors(
     end = np.minimum((addr + size)[idx], (sec + 1) * granule)
     return (start, end - start, is_write[idx],
             None if bypass is None else bypass[idx])
+
+
+#: What a replay returns for "no watched entries".
+_NO_WATCH = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
+             np.empty(0, dtype=bool))
+
+
+def _fewer_distinct(ci: np.ndarray, pr: np.ndarray, nxt: np.ndarray,
+                    assoc: int) -> np.ndarray:
+    """For each run ``ci`` of the combined run sequence whose line's
+    previous run ``pr`` lies more than ``assoc`` runs back: do fewer
+    than ``assoc`` distinct lines lie strictly between the two?
+
+    Counts backwards from ``ci`` in blocks of offsets. A run ``j`` in
+    the window brings a line not yet counted iff that line's next run
+    is ``ci`` or later (``nxt[j] >= ci``). A row leaves the loop as a
+    miss once its count reaches ``assoc``, or as a hit once a block
+    passes ``pr``; the rows still counting shrink every block.
+    """
+    out = np.empty(ci.size, dtype=bool)
+    rows = np.arange(ci.size)
+    count = np.zeros(ci.size, dtype=np.int32)
+    d = 1
+    while rows.size:
+        # Blocks of 64 offsets (at least assoc), fewer for many rows.
+        width = min(max(assoc, min(64, (1 << 19) // rows.size)), nxt.size)
+        lo = ci - (d + width - 1)
+        inside = lo > pr
+        whole = np.flatnonzero(inside)
+        if whole.size:
+            # Blocks inside the window: rows of a strided view.
+            block = sliding_window_view(nxt, width)[lo[whole]]
+            count[whole] += np.count_nonzero(block >= ci[whole, None],
+                                             axis=1)
+        part = np.flatnonzero(~inside)
+        if part.size:
+            j = ci[part, None] - np.arange(d, d + width, dtype=ci.dtype)
+            new = nxt[np.maximum(j, 0)] >= ci[part, None]
+            new &= j > pr[part, None]
+            count[part] += np.count_nonzero(new, axis=1)
+        d += width
+        miss = count >= assoc
+        done = miss | (ci - d <= pr)
+        out[rows[done]] = ~miss[done]
+        keep = ~done
+        rows, ci, pr, count = rows[keep], ci[keep], pr[keep], count[keep]
+    return out
+
+
+def _clear_sectors(bitmap: np.ndarray, base: int, mask: int) -> None:
+    """Clear the bits of the sectors ``base + i`` for each bit ``i`` of
+    ``mask``, skipping sectors outside the bitmap."""
+    while mask:
+        low = mask & -mask
+        sid = base + low.bit_length() - 1
+        if 0 <= sid < bitmap.size:
+            bitmap[sid] = False
+        mask ^= low
+
+
+def _check_chunk_size(chunk_size) -> None:
+    if (isinstance(chunk_size, bool)
+            or not isinstance(chunk_size, (int, np.integer))
+            or chunk_size <= 0):
+        raise SimulationError(
+            f"chunk_size must be a positive integer, got {chunk_size!r}")
 
 
 def _prefix_state(sec: np.ndarray, w: np.ndarray,
@@ -232,6 +301,8 @@ class CacheSim:
         # its duration, so the unwatched hot paths never pay for it.
         self._dirty_bitmap: Optional[np.ndarray] = None
         self._dirty_active = False
+        # int32 scratch over sector ids for first-touch detection.
+        self._scratch: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # address helpers
@@ -364,6 +435,7 @@ class CacheSim:
         replacement order all end up exactly as the scalar path would
         leave them (property-tested in ``tests/test_engine_batch.py``).
         """
+        _check_chunk_size(chunk_size)
         addr = np.ascontiguousarray(addr, dtype=np.int64)
         size = np.ascontiguousarray(size, dtype=np.int64)
         is_write = np.ascontiguousarray(is_write, dtype=bool)
@@ -420,6 +492,7 @@ class CacheSim:
         in practice — it would take a single access touching
         ``n_sets * line_bytes`` contiguous bytes.
         """
+        _check_chunk_size(chunk_size)
         addr = np.ascontiguousarray(addr, dtype=np.int64)
         size = np.ascontiguousarray(size, dtype=np.int64)
         is_write = np.ascontiguousarray(is_write, dtype=bool)
@@ -471,9 +544,9 @@ class CacheSim:
         and dirty bits only accrue, so pre-state is ``state at chunk
         entry OR touched/written earlier in the chunk`` (two gathers
         plus a prefix scan over the watched sectors' touches);
-        turbulent sets capture exact per-run head state inside the
-        replay loop. Dirty bits at chunk entry come from a dirty
-        bitmap that exists only while a watched batch runs.
+        turbulent sets get it from the exact replay. Dirty bits at
+        chunk entry come from a dirty bitmap that exists only while a
+        watched batch runs.
         """
         sec = _floordiv(c_addr, self.granule)
         lo = int(sec.min())
@@ -482,6 +555,10 @@ class CacheSim:
         if use_bitmap:
             self._ensure_residency(hi)
             self._ensure_lu_overlay(hi // self.sectors_per_line)
+        else:
+            # Sectors outside the bitmap's window: the replays keep
+            # the bitmap only while it is fresh, so rebuild it later.
+            self._res_stale = True
         res_out = dirty_out = None
         if watch is not None:
             n_watched = int(watch.sum())
@@ -490,10 +567,13 @@ class CacheSim:
             if use_bitmap:
                 self._ensure_dirty(hi)
                 self._dirty_active = True
+        replay = (self._replay_lru if self.policy == "lru"
+                  else self._replay_fifo)
         wbase = 0
-        t0 = self._clock
+        # Entry i is stamped t0 + i: the clock value the scalar path
+        # would give it (it advances the clock before stamping).
+        t0 = self._clock + 1
         hits = 0
-        lru = self.policy == "lru"
         spl = self.sectors_per_line
         for start in range(0, sec.size, chunk_size):
             chunk = sec[start:start + chunk_size]
@@ -505,140 +585,128 @@ class CacheSim:
                     wpos = np.flatnonzero(cw_mask)
                     slot0 = wbase
                     wbase += wpos.size
+            lines = _floordiv(chunk, spl)
             if not use_bitmap:
-                lines = _floordiv(chunk, spl)
+                # No residency bitmap → the whole chunk replays
+                # exactly, watched entries included.
                 pos = t0 + start + np.arange(chunk.size, dtype=np.int64)
+                out = replay(chunk, w, pos, lines, _mod(lines, self.n_sets),
+                             None if wpos is None else cw_mask)
                 if wpos is None:
-                    hits += self._replay_exact(chunk, w, pos, lines,
-                                               _mod(lines, self.n_sets),
-                                               complete=True)
+                    hits += out
                 else:
-                    # No residency bitmap → the whole chunk replays
-                    # exactly, so run-head capture alone covers every
-                    # watched entry.
-                    h, in_idx, rp, dp = self._replay_exact(
-                        chunk, w, pos, lines, _mod(lines, self.n_sets),
-                        watch=cw_mask, complete=True)
-                    hits += h
-                    slots = slot0 + np.searchsorted(wpos, in_idx)
-                    res_out[slots] = rp
-                    dirty_out[slots] = dp
+                    hits += out[0]
+                    slots = slot0 + np.searchsorted(wpos, out[1])
+                    res_out[slots] = out[2]
+                    dirty_out[slots] = out[3]
                 continue
             resident = self._res_bitmap[chunk]
-            lines = _floordiv(chunk, spl)
             if wpos is not None:
                 # Entry-state gathers must precede any mutation below.
                 ent_res = resident[wpos]
                 ent_dirty = self._dirty_bitmap[chunk[wpos]]
-                e_touch, e_write = _prefix_state(chunk, w, wpos)
             if resident.all():
                 hits += chunk.size
                 self._apply_dirty(chunk, w, None)
                 self._scatter_recency(lines, t0 + start)
                 if wpos is not None:
-                    slots = slot0 + np.arange(wpos.size)
-                    res_out[slots] = True
-                    dirty_out[slots] = ent_dirty | e_write
+                    _, e_write = _prefix_state(chunk, w, wpos)
+                    res_out[slot0:slot0 + wpos.size] = True
+                    dirty_out[slot0:slot0 + wpos.size] = ent_dirty | e_write
                 continue
-            nonres = ~resident
-            nr_idx = np.flatnonzero(nonres)
-            # Sets where an eviction could occur this chunk must be
-            # replayed in full; everywhere else residency can only
-            # grow, so chunk-start-resident touches are plain hits and
-            # only the non-resident touches need exact replay. One
-            # unique over the non-resident subset yields both the
-            # first-touch indices (for the replay reduction below) and
-            # the new lines (for the eviction classification).
-            u_sec, u_first = np.unique(chunk[nr_idx], return_index=True)
-            new_lines = np.unique(_floordiv(u_sec, spl))
-            new_sets, new_counts = np.unique(
-                _mod(new_lines, self.n_sets), return_counts=True)
+            # Only the first touch of a non-resident sector can miss in
+            # a set that cannot evict: it installs the sector, and with
+            # no eviction residency only grows, so every later touch in
+            # the chunk hits. Their lines tell which sets could evict.
+            nr_idx = np.flatnonzero(~resident)
+            first = self._first_touch(chunk[nr_idx])
+            fresh = nr_idx[first]
+            later = nr_idx[~first]
+            new_lines = lines[fresh]
+            new_lines = new_lines[self._first_touch(new_lines)]
+            new_counts = np.bincount(_mod(new_lines, self.n_sets),
+                                     minlength=self.n_sets)
+            new_sets = np.flatnonzero(new_counts)
             sets_local = self._sets
             assoc = self.assoc
             evicting = [
-                s for s, c in zip(new_sets.tolist(), new_counts.tolist())
+                s for s, c in zip(new_sets.tolist(),
+                                  new_counts[new_sets].tolist())
                 if len(sets_local[s]) + c > assoc
             ]
+            calm_w = None
             if evicting:
-                sets_arr = _mod(lines, self.n_sets)
+                # Sets where an eviction could occur replay in full;
+                # elsewhere only the first touches replay.
                 turb_dense = np.zeros(self.n_sets, dtype=bool)
                 turb_dense[evicting] = True
-                turb = turb_dense[sets_arr]
-                t_idx = np.flatnonzero(turb)
-                if wpos is None:
-                    hits += self._replay_exact(
-                        chunk[t_idx], w[t_idx], t0 + start + t_idx,
-                        lines[t_idx], sets_arr[t_idx], complete=True)
-                else:
-                    # Turbulent watched entries get exact run-head
-                    # capture; the rest of the chunk is eviction-free
-                    # and uses the entry|earlier formula.
-                    h, in_idx, rp, dp = self._replay_exact(
-                        chunk[t_idx], w[t_idx], t0 + start + t_idx,
-                        lines[t_idx], sets_arr[t_idx],
-                        watch=cw_mask[t_idx], complete=True)
-                    hits += h
-                    slots = slot0 + np.searchsorted(wpos, t_idx[in_idx])
-                    res_out[slots] = rp
-                    dirty_out[slots] = dp
-                    calm_w = np.flatnonzero(~turb[wpos])
-                    if calm_w.size:
-                        slots = slot0 + calm_w
-                        res_out[slots] = ent_res[calm_w] | e_touch[calm_w]
-                        dirty_out[slots] = (ent_dirty[calm_w]
-                                            | e_write[calm_w])
-                semi_sel = nonres & ~turb
-                s_idx = np.flatnonzero(semi_sel)
-                first = np.unique(chunk[s_idx], return_index=True)[1]
+                turb = turb_dense[_mod(lines, self.n_sets)]
+                later = later[~turb[later]]
+                sel = turb.copy()
+                sel[fresh[~turb[fresh]]] = True
+                r_idx = np.flatnonzero(sel)
                 calm_sel = resident & ~turb
-                hits += int(calm_sel.sum())
+                hits += int(np.count_nonzero(calm_sel))
                 self._apply_dirty(chunk, w, calm_sel)
-            else:
-                s_idx = nr_idx
-                first = u_first
-                hits += chunk.size - s_idx.size
-                self._apply_dirty(chunk, w, resident)
+                r_watch = None
                 if wpos is not None:
-                    slots = slot0 + np.arange(wpos.size)
-                    res_out[slots] = ent_res | e_touch
-                    dirty_out[slots] = ent_dirty | e_write
-            if s_idx.size:
-                # Eviction-free sets: only the *first* touch of each
-                # non-resident sector can miss — it installs the
-                # sector, and with no evictions possible residency
-                # only grows, so every later same-chunk touch is a
-                # hit. Replay the first touches; retire the rest as
-                # hits, their dirty bits applied once the lines exist.
-                later = None
-                if first.size != s_idx.size:
-                    keep = np.zeros(s_idx.size, dtype=bool)
-                    keep[first] = True
-                    later = s_idx[~keep]
-                    later_w = w[later]
-                    s_idx = s_idx[keep]
-                    hits += later.size
-                s_lines = lines[s_idx]
-                hits += self._replay_exact(
-                    chunk[s_idx], w[s_idx], t0 + start + s_idx,
-                    s_lines, _mod(s_lines, self.n_sets))
-                if later is not None:
-                    self._apply_dirty(chunk[later], later_w, None)
-            # Recency scatter strictly AFTER the replays: an in-chunk
-            # eviction scan must never observe stamps of touches that
-            # come later in program order than the eviction point.
+                    r_watch = cw_mask[r_idx] & turb[r_idx]
+                    calm_w = np.flatnonzero(~turb[wpos])
+            else:
+                r_idx = fresh
+                hits += chunk.size - nr_idx.size
+                self._apply_dirty(chunk, w, resident)
+                r_watch = None
+                if wpos is not None:
+                    calm_w = np.arange(wpos.size)
+            hits += later.size
+            out = replay(chunk[r_idx], w[r_idx], t0 + start + r_idx,
+                         lines[r_idx], _mod(lines[r_idx], self.n_sets),
+                         r_watch)
+            if r_watch is None:
+                hits += out
+            else:
+                hits += out[0]
+                slots = slot0 + np.searchsorted(wpos, r_idx[out[1]])
+                res_out[slots] = out[2]
+                dirty_out[slots] = out[3]
+            if calm_w is not None and calm_w.size:
+                e_touch, e_write = _prefix_state(chunk, w, wpos[calm_w])
+                slots = slot0 + calm_w
+                res_out[slots] = ent_res[calm_w] | e_touch
+                dirty_out[slots] = ent_dirty[calm_w] | e_write
+            if later.size:
+                # Later touches of freshly installed sectors: hits
+                # whose dirty bits need the lines the replay made.
+                self._apply_dirty(chunk[later], w[later], None)
+            # Recency scatter strictly AFTER the replays, which read
+            # the overlay as the stamps at chunk entry.
             self._scatter_recency(lines, t0 + start)
-        self._clock = t0 + sec.size
+        self._clock = t0 + sec.size - 1
         self.stats_hits += hits
         if watch is not None:
             self._dirty_active = False
             return res_out, dirty_out
         return None
 
+    def _first_touch(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of the entries of ``keys`` (non-negative, below the
+        residency bitmap's size) that hold their key's first
+        occurrence. A reverse-order scatter of entry indices into an
+        int32 scratch leaves each key's first index; no sort."""
+        scratch = self._scratch
+        if scratch is None or scratch.size < self._res_bitmap.size:
+            scratch = self._scratch = np.empty(self._res_bitmap.size,
+                                               dtype=np.int32)
+        idx = np.arange(keys.size, dtype=np.int32)
+        scratch[keys[::-1]] = idx[::-1]
+        return scratch[keys] == idx
+
     def _scatter_recency(self, lines: np.ndarray, base: int) -> None:
         """Record this chunk's touch times in the dense last_use
         overlay. With duplicate indices NumPy keeps the last value
         written — the latest touch of each line, which is exactly LRU
-        recency; replayed installs also stamp the line directly and
+        recency; replayed lines also stamp the line directly and
         max-reconciliation picks the later of the two. FIFO never
         refreshes recency, so it skips the scatter."""
         if self.policy == "lru":
@@ -660,60 +728,214 @@ class CacheSim:
             line = self._sets[tag % self.n_sets][tag]
             line.dirty_mask |= 1 << (sid % spl)
 
-    def _replay_exact(self, sec, w, pos, lines, sets_arr, watch=None,
-                      complete=False):
-        """Replay accesses exactly, in per-set program order,
-        coalescing runs of consecutive same-sector touches.
+    def _replay_lru(self, sec, w, pos, lines, sets_arr, watch=None):
+        """Replay entries exactly under LRU, by reuse distance.
 
-        ``complete`` declares that the inputs hold *every* entry of
-        their sets for the chunk (the turbulent-set and no-bitmap
-        replays; not the eviction-free first-touch replay, which
-        passes a subset). Under LRU such a call first retires, with
-        array ops, every read the LRU stack property guarantees to
-        hit (:meth:`_guaranteed_hits`); only the remaining entries
-        reach the Python loop, and each kept entry's recency stamp
-        carries the positions of the retired reads after it. The loop
-        therefore raises ``last_use`` by max and never lowers it.
-        Victims are the minimum ``last_use`` in dict order, after the
-        set's first eviction of the call folded the dense overlay
-        into its stamps (the values :meth:`_effective_last_use`
-        reads). Traffic, hit/miss counts, final line state and
-        replacement order equal the unretired replay's (DESIGN.md
-        §6.1).
+        The inputs hold, for each set they touch, either every entry
+        of the chunk or (in a set that cannot evict) its first touches
+        of non-resident sectors. Entries are ordered by set, program
+        order within a set, and each touched set's resident lines are
+        prepended oldest-first by effective stamp. A line-run (maximal
+        block of one line's entries) then hits iff fewer than
+        ``assoc`` distinct lines lie between it and its line's
+        previous run (Mattson's stack property; :func:`_fewer_distinct`
+        decides the long windows). A miss starts a line lifetime and
+        hits continue it. A sector is valid from its first touch in a
+        lifetime, or from the start for a prepended line's valid
+        sectors, so fetches, dirty bits, write-backs, the lines left
+        resident and watched pre-states all follow with array ops.
+        Python reads and writes ``_sets`` once per touched set
+        (DESIGN.md §6.1).
 
-        Returns the number of hits (misses/traffic are applied to the
-        simulator directly). With ``watch`` (boolean mask over the
-        input entries; watched entries are never retired)
-        additionally returns ``(hits, in_idx, res_pre, dirty_pre)``:
-        for each watched entry (``in_idx`` indexes the inputs) the
-        sector state just before that entry executed — the run head's
-        pre-mutation state captured in the loop, promoted to resident
-        for non-head run members (the head fetched the sector, and
-        only hits lie between) and to dirty after an earlier same-run
-        write.
+        Returns the number of hits; with ``watch`` (boolean mask over
+        the inputs) ``(hits, in_idx, res_pre, dirty_pre)``: for each
+        watched entry (``in_idx`` indexes the inputs) the sector state
+        just before it executed.
+        """
+        n = sec.size
+        if n == 0:
+            return 0 if watch is None else (0,) + _NO_WATCH
+        spl = self.sectors_per_line
+        assoc = self.assoc
+        n_sets = self.n_sets
+        order = np.argsort(
+            sets_arr.astype(np.int16) if n_sets <= 1 << 15 else sets_arr,
+            kind="stable")
+        ln = lines[order]
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(ln[1:], ln[:-1], out=head[1:])
+        run_of = np.cumsum(head, dtype=np.int32) - 1
+        r_end = np.append(np.flatnonzero(head)[1:], n) - 1
+        r_line = ln[r_end]
+        del ln, head
+        r_set = _mod(r_line, n_sets)
+        m = r_line.size
+
+        # The touched sets' resident lines, read once, oldest first.
+        touched = r_set[np.append(0, np.flatnonzero(np.diff(r_set)) + 1)]
+        sets_local = self._sets
+        objs: List[_Line] = []
+        tags: List[int] = []
+        for s in touched.tolist():
+            tags += sets_local[s].keys()
+            objs += sets_local[s].values()
+        k = len(tags)
+        p_line = np.array(tags, dtype=np.int64)
+        p_raw = np.array([o.last_use for o in objs], dtype=np.int64)
+        p_stamp = p_raw.copy()
+        lud = self._lu_dense
+        if lud is not None and k:
+            inr = np.flatnonzero((p_line >= 0) & (p_line < lud.size))
+            p_stamp[inr] = np.maximum(p_stamp[inr], lud[p_line[inr]])
+        po = np.lexsort((p_stamp, _mod(p_line, n_sets)))
+        p_line = p_line[po]
+        p_set = _mod(p_line, n_sets)
+
+        # Combined run sequence: per set, prepended lines, then runs.
+        # Sorting it by line puts each line's runs in order, so a run's
+        # predecessor there is its line's previous run.
+        t = k + m
+        real_ci = (np.arange(m, dtype=np.int64)
+                   + np.searchsorted(p_set, r_set, side="right"))
+        pseudo_ci = (np.arange(k, dtype=np.int64)
+                     + np.searchsorted(r_set, p_set, side="left"))
+        c_line = np.empty(t, dtype=np.int64)
+        c_line[real_ci] = r_line
+        c_line[pseudo_ci] = p_line
+        c_lo = int(c_line.min())
+        if (int(c_line.max()) - c_lo + 1) * t < 1 << 62:
+            # Unique keys: the faster unstable sort keeps run order.
+            by_line = np.argsort((c_line - c_lo) * t
+                                 + np.arange(t, dtype=np.int64))
+        else:
+            by_line = np.argsort(c_line, kind="stable")
+        same = c_line[by_line[1:]] == c_line[by_line[:-1]]
+        nxt = np.full(t, t, dtype=np.int32)
+        nxt[by_line[:-1][same]] = by_line[1:][same]
+
+        # Line hit per run, in line order: certain when at most assoc-1
+        # runs lie between it and its predecessor, else counted. A
+        # miss, or a line's first (prepended or cold) run, starts a
+        # lifetime; hits continue it.
+        gap = np.diff(by_line)
+        hit = np.zeros(t, dtype=bool)
+        hit[1:] = same & (gap <= assoc)
+        far = np.flatnonzero(same & (gap > assoc)) + 1
+        del same, gap
+        if far.size:
+            hit[far] = _fewer_distinct(by_line[far].astype(np.int32),
+                                       by_line[far - 1].astype(np.int32),
+                                       nxt, assoc)
+        c_life = np.empty(t, dtype=np.int32)
+        c_life[by_line] = np.cumsum(~hit, dtype=np.int32) - 1
+        n_life = int(c_life[by_line[-1]]) + 1
+        del by_line, hit
+        life_line = np.empty(n_life, dtype=np.int64)
+        life_line[c_life] = c_line
+
+        # Sector state per (lifetime, sector) key.
+        nk = n_life * spl
+        key = c_life[real_ci][run_of] * spl
+        key += _mod(sec[order], spl)
+        del run_of
+        init_v = np.zeros(nk, dtype=bool)
+        init_d = np.zeros(nk, dtype=bool)
+        p_key = c_life[pseudo_ci].astype(np.int64) * spl
+        p_valid = np.array([o.valid_mask for o in objs], np.int64)[po]
+        p_dirty = np.array([o.dirty_mask for o in objs], np.int64)[po]
+        for b in range(spl):
+            init_v[p_key + b] = (p_valid >> b) & 1
+            init_d[p_key + b] = (p_dirty >> b) & 1
+        idx = np.arange(n, dtype=np.int32)
+        first = np.empty(nk, dtype=np.int32)
+        first[key[::-1]] = idx[::-1]
+        hit_e = init_v[key]
+        hit_e |= first[key] < idx
+        misses = n - int(np.count_nonzero(hit_e))
+        w = w[order]
+        valid = init_v.copy()
+        valid[key] = True
+        dirty = init_d.copy()
+        dirty[key[w]] = True
+        valid = valid.reshape(n_life, spl)
+        dirty = dirty.reshape(n_life, spl)
+
+        # Each set keeps its assoc most recently used lines; every
+        # other lifetime ended in an eviction.
+        last = np.flatnonzero(nxt == t)
+        del nxt
+        l_set = _mod(c_line[last], n_sets)
+        rank = (np.searchsorted(l_set, l_set, side="right") - 1
+                - np.arange(last.size))
+        res_ci = last[rank < assoc]
+        res_life = c_life[res_ci]
+        ended = np.ones(n_life, dtype=bool)
+        ended[res_life] = False
+        writebacks = int(np.count_nonzero(dirty[ended]))
+        for bmp, bits in ((self._res_bitmap, valid),
+                          (self._dirty_bitmap if self._dirty_active
+                           else None, dirty)):
+            if bmp is None or self._res_stale:
+                continue
+            sids = life_line[:, None] * spl + np.arange(spl)
+            for sel, value in ((ended, False), (res_life, True)):
+                sid = sids[sel][bits[sel]]
+                bmp[sid[(sid >= 0) & (sid < bmp.size)]] = value
+
+        # Write the touched sets back: each kept line with its final
+        # masks, stamped with its last entry's position (an untouched
+        # line keeps its stamp).
+        c_src = np.empty(t, dtype=np.int64)
+        c_src[real_ci] = r_end
+        c_src[pseudo_ci] = -1 - np.arange(k)
+        src = c_src[res_ci]
+        stamp = np.where(src >= 0, pos[order[np.maximum(src, 0)]],
+                         p_raw[po[np.maximum(-1 - src, 0)]] if k else 0)
+        weights = 1 << np.arange(spl)
+        kept = list(map(_Line, (valid[res_life] @ weights).tolist(),
+                        (dirty[res_life] @ weights).tolist(),
+                        stamp.tolist()))
+        res_tags = c_line[res_ci].tolist()
+        cuts = np.searchsorted(l_set[rank < assoc], touched).tolist()
+        for s, a, b in zip(touched.tolist(), cuts, cuts[1:] + [len(kept)]):
+            cache_set = sets_local[s]
+            cache_set.clear()
+            cache_set.update(zip(res_tags[a:b], kept[a:b]))
+        self.stats_misses += misses
+        self.traffic.read_bytes += misses * self.granule
+        self.traffic.write_bytes += writebacks * self.granule
+        if watch is None:
+            return n - misses
+        ws = np.flatnonzero(watch[order])
+        if not ws.size:
+            return (n - misses,) + _NO_WATCH
+        wi = np.flatnonzero(w)
+        first[:] = n
+        first[key[wi[::-1]]] = wi[::-1]
+        kw = key[ws]
+        res_pre = hit_e[ws]
+        dirty_pre = res_pre & (init_d[kw] | (first[kw] < ws))
+        return n - misses, order[ws], res_pre, dirty_pre
+
+    def _replay_fifo(self, sec, w, pos, lines, sets_arr, watch=None):
+        """Replay entries exactly under FIFO, in per-set program order,
+        one Python iteration per run of consecutive same-sector
+        entries. A FIFO hit does not refresh its line, so there is no
+        stack property to vectorize on; victims are the oldest install
+        stamp. Same inputs and returns as :meth:`_replay_lru`; a
+        watched entry's pre-state is its run head's state before the
+        head executed, promoted to resident for non-head members (the
+        head fetched the sector and only hits lie between) and to
+        dirty after an earlier same-run write.
         """
         order = np.argsort(sets_arr, kind="stable")
         sec = sec[order]
         n = sec.size
-        _ew = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
-               np.empty(0, dtype=bool))
         if n == 0:
-            return 0 if watch is None else (0,) + _ew
+            return 0 if watch is None else (0,) + _NO_WATCH
         w = w[order]
         pos = pos[order]
-        retired = 0
-        if complete and self.policy == "lru":
-            kept = self._guaranteed_hits(
-                sec, w, pos, lines[order],
-                None if watch is None else watch[order])
-            if kept is not None:
-                keep, pos = kept
-                order = order[keep]
-                sec = sec[keep]
-                w = w[keep]
-                pos = pos[keep]
-                retired = n - sec.size
-                n = sec.size
         # A run = consecutive equal sector ids inside one set's
         # subsequence. Equal sector ids imply equal set, so a sector
         # change is the only boundary needed.
@@ -724,7 +946,6 @@ class CacheSim:
         lengths = np.diff(np.append(starts, n))
         any_w = np.logical_or.reduceat(w, starts)
         head_pos = pos[starts]
-        last_pos = pos[np.append(starts[1:], n) - 1]
         run_sec = sec[starts]
         spl = self.sectors_per_line
         run_tag = _floordiv(run_sec, spl)
@@ -743,33 +964,24 @@ class CacheSim:
                 run_res = np.zeros(starts.size, dtype=bool)
                 run_dirty = np.zeros(starts.size, dtype=bool)
         sets_local = self._sets
-        lru = self.policy == "lru"
-        bitmap = self._res_bitmap
+        bitmap = None if self._res_stale else self._res_bitmap
         dbitmap = self._dirty_bitmap if self._dirty_active else None
         assoc = self.assoc
-        granule = self.granule
-        hits = retired
+        hits = 0
         misses = 0
-        fetches = 0
         writebacks = 0
-        folded = set()
-        for ri, (sid, tag, st, sct, anyw, ln, hp, lp) in enumerate(zip(
+        for ri, (sid, tag, st, sct, anyw, ln, hp) in enumerate(zip(
                 run_sec.tolist(), run_tag.tolist(), run_set.tolist(),
                 run_sector.tolist(), any_w.tolist(), lengths.tolist(),
-                head_pos.tolist(), last_pos.tolist())):
+                head_pos.tolist())):
             cache_set = sets_local[st]
             line = cache_set.get(tag)
             bit = 1 << sct
-            if watching and need[ri]:
-                # Pre-mutation head state for the watched entries.
-                if line is not None and line.valid_mask & bit:
-                    run_res[ri] = True
-                    if line.dirty_mask & bit:
-                        run_dirty[ri] = True
             if line is not None and line.valid_mask & bit:
+                if watching and need[ri]:
+                    run_res[ri] = True
+                    run_dirty[ri] = bool(line.dirty_mask & bit)
                 hits += ln
-                if lru and lp > line.last_use:
-                    line.last_use = lp
                 if anyw:
                     line.dirty_mask |= bit
                     if dbitmap is not None:
@@ -781,9 +993,6 @@ class CacheSim:
             hits += ln - 1
             if line is None:
                 if len(cache_set) >= assoc:
-                    if st not in folded:
-                        folded.add(st)
-                        self._fold_overlay(cache_set)
                     victim_tag = None
                     for t, cand in cache_set.items():
                         lu = cand.last_use
@@ -792,29 +1001,13 @@ class CacheSim:
                             victim_lu = lu
                     victim = cache_set.pop(victim_tag)
                     mask = victim.dirty_mask
-                    while mask:
-                        mask &= mask - 1
-                        writebacks += 1
-                    if bitmap is not None:
-                        vmask = victim.valid_mask
-                        vbase = victim_tag * spl
-                        while vmask:
-                            low = vmask & -vmask
-                            bitmap[vbase + low.bit_length() - 1] = False
-                            vmask ^= low
-                    if dbitmap is not None:
-                        dmask = victim.dirty_mask
-                        vbase = victim_tag * spl
-                        while dmask:
-                            low = dmask & -dmask
-                            dbitmap[vbase + low.bit_length() - 1] = False
-                            dmask ^= low
-                line = _Line()
-                line.last_use = lp if lru else hp
+                    writebacks += bin(mask).count("1")
+                    for bmp, bits in ((bitmap, victim.valid_mask),
+                                      (dbitmap, mask)):
+                        if bmp is not None:
+                            _clear_sectors(bmp, victim_tag * spl, bits)
+                line = _Line(last_use=hp)
                 cache_set[tag] = line
-            elif lru and lp > line.last_use:
-                line.last_use = lp
-            fetches += 1
             line.valid_mask |= bit
             if anyw:
                 line.dirty_mask |= bit
@@ -823,83 +1016,15 @@ class CacheSim:
             if bitmap is not None:
                 bitmap[sid] = True
         self.stats_misses += misses
-        self.traffic.read_bytes += fetches * granule
-        self.traffic.write_bytes += writebacks * granule
-        if bitmap is None:
-            # The generic path changed residency behind the bitmap's
-            # back; force a rebuild before the next bitmap-mode batch.
-            self._res_stale = True
-        if watch is None:
-            return hits
+        self.traffic.read_bytes += misses * self.granule
+        self.traffic.write_bytes += writebacks * self.granule
         if not watching:
-            return (hits,) + _ew
+            return hits if watch is None else (hits,) + _NO_WATCH
         res_pre = run_res[runs_of] | (wsorted > starts[runs_of])
         cw = np.cumsum(w) - w  # exclusive write count, sorted domain
         in_run_w = (cw[wsorted] - cw[starts[runs_of]]) > 0
         dirty_pre = run_dirty[runs_of] | in_run_w
         return hits, order[wsorted], res_pre, dirty_pre
-
-    def _guaranteed_hits(self, sec, w, pos, lines, watched):
-        """Reads LRU guarantees to hit, among entries in per-set
-        program order that hold every entry of their sets for the
-        chunk.
-
-        A line-run is a maximal block of consecutive same-line
-        entries. A read whose previous same-sector entry lies at most
-        ``assoc`` line-runs earlier is a hit: that entry left the
-        sector valid and its line most recently used, and evicting
-        the line takes ``assoc`` distinct other lines of the set
-        touched since, while at most ``assoc - 1`` line-runs lie
-        between. Writes and ``watched`` entries stay in the loop.
-
-        Returns ``None`` when nothing is retired, else ``(keep,
-        stamps)``: the mask of entries the loop must replay, and
-        ``pos`` with each kept entry's stamp raised to the position
-        of the last retired read of its sector before the next kept
-        one.
-        """
-        n = sec.size
-        new_run = np.empty(n, dtype=bool)
-        new_run[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=new_run[1:])
-        line_run = np.cumsum(new_run)
-        # Stable by sector: each sector's entries in program order.
-        by_sec = np.argsort(sec, kind="stable")
-        s_sec = sec[by_sec]
-        s_run = line_run[by_sec]
-        retire = np.zeros(n, dtype=bool)
-        np.equal(s_sec[1:], s_sec[:-1], out=retire[1:])
-        retire[1:] &= s_run[1:] - s_run[:-1] <= self.assoc
-        retire &= ~w[by_sec]
-        if watched is not None:
-            retire &= ~watched[by_sec]
-        if not retire.any():
-            return None
-        # A sector's first entry is never retired, so every retired
-        # entry has a kept anchor earlier in its sector's sequence.
-        anchor = np.maximum.accumulate(
-            np.where(retire, 0, np.arange(n, dtype=np.int64)))
-        last = retire.copy()
-        last[:-1] &= ~retire[1:]
-        stamps = pos.copy()
-        stamps[by_sec[anchor[last]]] = pos[by_sec[last]]
-        keep = np.ones(n, dtype=bool)
-        keep[by_sec[retire]] = False
-        return keep, stamps
-
-    def _fold_overlay(self, cache_set: Dict[int, _Line]) -> None:
-        """Raise each line's stamp to its dense-overlay stamp, so the
-        plain ``last_use`` equals :meth:`_effective_last_use`. Exact
-        for the rest of a replay call: the overlay only changes after
-        the chunk's replays."""
-        lud = self._lu_dense
-        if lud is None:
-            return
-        tags = [t for t in cache_set if 0 <= t < lud.size]
-        for t, stamp in zip(tags, lud[tags].tolist()):
-            line = cache_set[t]
-            if stamp > line.last_use:
-                line.last_use = stamp
 
     # -- bypassed stores (write-combining buffer) ----------------------
     def _bypass_batch(self, c_addr: np.ndarray, c_size: np.ndarray) -> None:
@@ -958,42 +1083,36 @@ class CacheSim:
                 grown[:bitmap.size] = bitmap
                 self._res_bitmap = grown
                 return
-            bitmap = np.zeros(capacity, dtype=bool)
-            spl = self.sectors_per_line
-            for cache_set in self._sets:
-                for tag, line in cache_set.items():
-                    vmask = line.valid_mask
-                    base = tag * spl
-                    while vmask:
-                        low = vmask & -vmask
-                        bitmap[base + low.bit_length() - 1] = True
-                        vmask ^= low
-            self._res_bitmap = bitmap
+            self._res_bitmap = self._sector_bitmap(capacity, "valid_mask")
             self._res_stale = False
 
     def _ensure_dirty(self, max_sector: int) -> None:
-        """Rebuild the dirty bitmap from line state, sized to cover
-        both ``max_sector`` and every currently-dirty line (so
-        eviction clears during the watched batch never index out of
-        range). Unlike the residency bitmap it is not kept fresh
-        between batches — each watched batch rebuilds it, keeping
-        every unwatched path free of maintenance cost."""
+        """Rebuild the dirty bitmap from line state. Unlike the
+        residency bitmap it is not kept fresh between batches — each
+        watched batch rebuilds it, keeping every unwatched path free
+        of maintenance cost."""
+        self._dirty_bitmap = self._sector_bitmap(max_sector + 1,
+                                                 "dirty_mask")
+
+    def _sector_bitmap(self, size: int, mask_attr: str) -> np.ndarray:
+        """Bitmap over sector ids, at least ``size`` long, of the
+        sectors set in ``mask_attr`` of every resident line whose
+        sectors lie in the bitmap window (lines outside it, left by
+        scalar or no-bitmap calls, are never touched by a bitmap-mode
+        batch, and the replays skip them when they evict)."""
         spl = self.sectors_per_line
-        top = max_sector + 1
-        for cache_set in self._sets:
-            for tag, line in cache_set.items():
-                if line.dirty_mask:
-                    top = max(top, (tag + 1) * spl)
-        bitmap = np.zeros(top, dtype=bool)
-        for cache_set in self._sets:
-            for tag, line in cache_set.items():
-                dmask = line.dirty_mask
-                base = tag * spl
-                while dmask:
-                    low = dmask & -dmask
-                    bitmap[base + low.bit_length() - 1] = True
-                    dmask ^= low
-        self._dirty_bitmap = bitmap
+        marks = [(tag * spl, getattr(line, mask_attr))
+                 for cache_set in self._sets
+                 for tag, line in cache_set.items()
+                 if 0 <= tag * spl < BITMAP_SECTOR_LIMIT]
+        bitmap = np.zeros(max([size] + [b + spl for b, _ in marks]),
+                          dtype=bool)
+        for base, mask in marks:
+            while mask:
+                low = mask & -mask
+                bitmap[base + low.bit_length() - 1] = True
+                mask ^= low
+        return bitmap
 
     def _ensure_lu_overlay(self, max_tag: int) -> None:
         needed = max_tag + 1

@@ -191,3 +191,30 @@ class TestProbeValidation:
         assert rows.tolist() == [1]
         assert resident.tolist() == [True]
         assert dirty.tolist() == [True]
+
+
+class TestBatchChunkSize:
+    @pytest.mark.parametrize("chunk_size", [-1, 0, 2.5])
+    @pytest.mark.parametrize("probed", [False, True],
+                             ids=["access_batch", "access_batch_probed"])
+    def test_bad_chunk_size_rejected_before_any_change(self, chunk_size,
+                                                       probed):
+        c = small_cache(capacity=4 * 1024, assoc=2)
+        c.access_batch(np.array([0, 4096, 136]), np.full(3, 8),
+                       np.array([True, False, True]))
+
+        def state():
+            return (c.traffic.read_bytes, c.traffic.write_bytes,
+                    c.stats_hits, c.stats_misses, c._clock, c.snapshot())
+
+        before = state()
+        addr = np.arange(0, 32 * 1024, 72, dtype=np.int64)
+        size = np.full(addr.size, 16, dtype=np.int64)
+        w = np.arange(addr.size) % 3 == 0
+        with pytest.raises(SimulationError, match="chunk_size"):
+            if probed:
+                c.access_batch_probed(addr, size, w, [0, 5],
+                                      chunk_size=chunk_size)
+            else:
+                c.access_batch(addr, size, w, chunk_size=chunk_size)
+        assert state() == before

@@ -134,6 +134,49 @@ class TestBatchDifferential:
                 mixed.flush()
         assert full_state(mixed) == full_state(oracle)
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           policy=st.sampled_from(["lru", "fifo"]))
+    @settings(max_examples=15, deadline=None)
+    def test_bitmap_and_generic_batches_interleave(self, seed, policy):
+        # Batches inside the residency bitmap's window, below it and
+        # far above it, in turn: lines the generic path left must
+        # neither wrap into nor overflow the bitmap the next
+        # in-window batch rebuilds and evicts from.
+        cfg = CacheConfig(capacity_bytes=1024, associativity=2)
+        rng = np.random.default_rng(seed)
+        oracle = CacheSim(cfg, policy=policy)
+        mixed = CacheSim(cfg, policy=policy)
+        for base, span in ((0, 4096), (-4096, 4096), (0, 16384),
+                           (1 << 45, 4096), (0, 16384)):
+            n = 60
+            addr = base + rng.integers(0, span, n)
+            size = rng.integers(1, 64, n)
+            w = rng.random(n) < 0.5
+            scalar_replay(oracle, addr, size, w, np.zeros(n, dtype=bool))
+            if rng.random() < 0.5:
+                mixed.access_batch(addr, size, w, chunk_size=16)
+            else:
+                mixed.access_batch_probed(addr, size, w,
+                                          np.arange(0, n, 3),
+                                          chunk_size=16)
+        assert full_state(mixed) == full_state(oracle)
+
+    def test_batch_after_scalar_keeps_recency_order(self):
+        # One 2-way set: y, x scalar; y again as a batch; then z. The
+        # batch's touch of y is more recent than x's, so z evicts x;
+        # a batch stamp equal to the scalar clock would tie the two.
+        cfg = CacheConfig(capacity_bytes=256, associativity=2)
+        oracle, mixed = CacheSim(cfg), CacheSim(cfg)
+        for sim in (oracle, mixed):
+            sim.access(0, 8, False)
+            sim.access(128, 8, False)
+        oracle.access(0, 8, False)
+        mixed.access_batch(np.array([0]), np.array([8]), np.array([False]))
+        for sim in (oracle, mixed):
+            sim.access(256, 8, False)
+        assert full_state(mixed) == full_state(oracle)
+        assert [tag for tag, _, _ in mixed.snapshot()[0]] == [0, 2]
+
     def test_thrashing_cache_forces_evictions(self):
         # Tiny, low-associativity cache: every chunk evicts, driving
         # the turbulent full-replay classification.

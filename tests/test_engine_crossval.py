@@ -17,6 +17,11 @@ from repro.kernels.blas import CappedGemv, Dot, Gemm
 from repro.machine.config import CacheConfig
 from repro.machine.prefetch import SoftwarePrefetch
 from repro.units import MIB
+from tests.test_exact_traffic_golden import (
+    case_key,
+    check_exact_golden,
+    engine_counts,
+)
 
 BIG = CacheConfig(capacity_bytes=4 * MIB)
 BIG_CTX = CacheContext(capacity_bytes=4 * MIB)
@@ -30,6 +35,9 @@ def crossval(kernel, cache_cfg=BIG, ctx=BIG_CTX, prefetch=SoftwarePrefetch(),
     engine = ExactEngine(cache_cfg)
     exact = engine.run_nest(kernel.streams(), cached_exact_trace(kernel),
                             prefetch=prefetch)
+    # Byte-exact against the frozen counts, before the tolerances.
+    check_exact_golden(case_key(kernel.name, cache_cfg, prefetch),
+                       engine_counts(engine, exact))
     analytic = kernel.traffic(ctx, prefetch)
     assert analytic.read_bytes == pytest.approx(exact.read_bytes, rel=rel), \
         f"{kernel.name}: analytic reads {analytic.read_bytes} vs exact {exact.read_bytes}"
@@ -91,6 +99,8 @@ class TestResortCrossval:
         kernel = S1CFLoopNest2(block)
         engine = ExactEngine(cache)
         exact = engine.run_nest(kernel.streams(), cached_exact_trace(kernel))
+        check_exact_golden(case_key(kernel.name, cache),
+                           engine_counts(engine, exact))
         analytic = kernel.traffic(ctx)
         exact_ratio = exact.read_bytes / exact.write_bytes
         analytic_ratio = analytic.read_bytes / analytic.write_bytes
