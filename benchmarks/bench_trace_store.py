@@ -2,8 +2,9 @@
 
 The on-disk columnar store only earns its keep if (a) a warm mmap
 load beats regenerating the trace by a wide margin, (b) streaming the
-stored columns through the exact engine reproduces the in-RAM batch
-counters byte-for-byte, and (c) neither the cold write nor the
+stored columns through the batch engine and through the pipelined
+engine's two-worker pool reproduces the in-RAM batch counters
+byte-for-byte, and (c) neither the cold write nor the
 streamed simulation falls below a conservative throughput floor.
 Raw timings drift with machine load, so only one-sided ``_gap``
 shortfalls and exactness ``_dev`` metrics are gated.
@@ -14,7 +15,8 @@ import tempfile
 import time
 
 from repro.bench import benchmark
-from repro.engine.exact import ExactEngine, ShardedExactEngine
+from repro.engine.exact import ExactEngine
+from repro.engine.pipeline import PipelinedExactEngine
 from repro.engine.tracestore import TraceStore
 from repro.kernels import Gemm
 from repro.machine.config import CacheConfig
@@ -55,7 +57,7 @@ def bench_trace_store(ctx):
         macc = len(trace) / 1e6
 
         t0 = time.perf_counter()
-        store.put(kernel, kernel.exact_trace_blocks())
+        store.put(kernel, kernel.segments())
         t_write = time.perf_counter() - t0
 
         t_load = float("inf")
@@ -82,9 +84,9 @@ def bench_trace_store(ctx):
 
         entry = store.get(kernel, verify="meta")
         t0 = time.perf_counter()
-        sharded = ShardedExactEngine(CACHE, n_shards=2).run_nest(
-            streams, entry)
-        t_sharded = time.perf_counter() - t0
+        with PipelinedExactEngine(CACHE, n_workers=2) as eng:
+            piped = eng.run_nest(streams, entry)
+        t_piped = time.perf_counter() - t0
         entry.close()
 
         w_th, l_th, s_th = macc / t_write, macc / t_load, macc / t_stream
@@ -96,9 +98,9 @@ def bench_trace_store(ctx):
               round(l_th, 1), "-", "-"],
              ["streamed simulation", round(t_stream, 3),
               round(s_th, 1), streamed.read_bytes, streamed.write_bytes],
-             ["sharded-from-disk x2", round(t_sharded, 3),
-              round(macc / t_sharded, 1), sharded.read_bytes,
-              sharded.write_bytes]],
+             ["pipelined-from-disk x2", round(t_piped, 3),
+              round(macc / t_piped, 1), piped.read_bytes,
+              piped.write_bytes]],
             title=f"[store] GEMM N={N} ({len(trace):,} accesses, "
                   f"{store.total_bytes() / 1e6:.1f} MB on disk)"))
         return {
@@ -113,10 +115,10 @@ def bench_trace_store(ctx):
                                         batch.read_bytes),
             "stream_write_dev": _rel_dev(streamed.write_bytes,
                                          batch.write_bytes),
-            "sharded_read_dev": _rel_dev(sharded.read_bytes,
-                                         batch.read_bytes),
-            "sharded_write_dev": _rel_dev(sharded.write_bytes,
-                                          batch.write_bytes),
+            "piped_read_dev": _rel_dev(piped.read_bytes,
+                                       batch.read_bytes),
+            "piped_write_dev": _rel_dev(piped.write_bytes,
+                                        batch.write_bytes),
         }
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -127,8 +129,8 @@ def test_trace_store_tiers(run_bench):
     assert metrics["roundtrip_dev"] == 0.0
     assert metrics["stream_read_dev"] == 0.0
     assert metrics["stream_write_dev"] == 0.0
-    assert metrics["sharded_read_dev"] == 0.0
-    assert metrics["sharded_write_dev"] == 0.0
+    assert metrics["piped_read_dev"] == 0.0
+    assert metrics["piped_write_dev"] == 0.0
     assert metrics["cold_write_gap"] == 0.0
     assert metrics["warm_load_gap"] == 0.0
     assert metrics["stream_sim_gap"] == 0.0

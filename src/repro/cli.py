@@ -361,7 +361,6 @@ def _run_trace_store(argv: List[str]) -> int:
 def build_pipeline_parser() -> argparse.ArgumentParser:
     from .engine.envconfig import (
         AUTOTUNE_ENV,
-        N_SHARDS_ENV,
         RING_DEPTH_ENV,
         SEGMENT_ROWS_ENV,
         TARGET_OCCUPANCY_ENV,
@@ -387,8 +386,7 @@ def build_pipeline_parser() -> argparse.ArgumentParser:
                              "(default: 4)")
     parser.add_argument("--workers", type=int, default=None,
                         help="simulation worker processes; 0 = inline "
-                             f"(default: cpu count - 1, or "
-                             f"${N_SHARDS_ENV})")
+                             "(default: cpu count - 1)")
     parser.add_argument("--segment-rows", type=int, default=None,
                         help="rows per streamed trace segment "
                              f"(default: ${SEGMENT_ROWS_ENV} or 2^20)")
@@ -411,12 +409,9 @@ def build_pipeline_parser() -> argparse.ArgumentParser:
                              "file (CI artifact)")
     parser.add_argument("--compare-sequential", action="store_true",
                         help="also run the sequential generate-then-"
-                             "simulate path (ShardedExactEngine) and "
-                             "report the speedup and traffic match")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard count for --compare-sequential's "
-                             "ShardedExactEngine (default: engine "
-                             "default)")
+                             "simulate path (the single-process batch "
+                             "ExactEngine) and report the speedup and "
+                             "traffic match; exit 1 on a mismatch")
     parser.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     return parser
@@ -583,8 +578,7 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
     import time as _time
 
     from .engine.autotune import AutotuneConfig
-    from .engine.envconfig import env_n_shards
-    from .engine.exact import ShardedExactEngine
+    from .engine.exact import ExactEngine
     from .engine.pipeline import PipelinedExactEngine
     from .machine.config import CacheConfig
     from .units import MIB
@@ -592,9 +586,6 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
     args = build_pipeline_parser().parse_args(argv)
     kernel = _pipeline_kernel(args.kernel, args.size)
     cache = CacheConfig(capacity_bytes=int(args.cache_mib * MIB))
-    workers = args.workers
-    if workers is None:
-        workers = env_n_shards()
     # --autotune forces the controller on; without it the REPRO_AUTOTUNE
     # env default still applies (None).
     autotune = True if args.autotune else None
@@ -602,7 +593,7 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
                    if args.target_occupancy is not None else None)
 
     t0 = _time.perf_counter()
-    with PipelinedExactEngine(cache, n_workers=workers,
+    with PipelinedExactEngine(cache, n_workers=args.workers,
                               segment_rows=args.segment_rows,
                               ring_depth=args.ring_depth,
                               autotune=autotune,
@@ -624,12 +615,10 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
         t0 = _time.perf_counter()
         trace = kernel.exact_trace()
         t_gen = _time.perf_counter() - t0
-        seq = ShardedExactEngine(cache, n_shards=args.shards)
         t0 = _time.perf_counter()
-        seq_traffic = seq.run_nest(kernel.streams(), trace)
+        seq_traffic = ExactEngine(cache).run_nest(kernel.streams(), trace)
         t_sim = _time.perf_counter() - t0
         report["sequential"] = {
-            "n_shards": seq.n_shards,
             "generate_s": round(t_gen, 3),
             "simulate_s": round(t_sim, 3),
             "wall_s": round(t_gen + t_sim, 3),
@@ -683,8 +672,7 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
             seq_info = report["sequential"]
             match = "exact" if report["traffic_match"] else "MISMATCH"
             print(f"  sequential (gen {seq_info['generate_s']}s + "
-                  f"{seq_info['n_shards']}-shard sim "
-                  f"{seq_info['simulate_s']}s) = "
+                  f"batch sim {seq_info['simulate_s']}s) = "
                   f"{seq_info['wall_s']}s -> "
                   f"speedup {report['speedup']}x, traffic {match}")
     if args.compare_sequential and not report["traffic_match"]:

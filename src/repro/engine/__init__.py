@@ -10,12 +10,8 @@ from .analytic import (
     sequential_write,
     strided_access,
 )
-from .envconfig import (
-    default_chunk_rows,
-    default_segment_rows,
-    env_n_shards,
-)
-from .exact import ExactEngine, ShardedExactEngine
+from .envconfig import default_segment_rows
+from .exact import ExactEngine
 from .executor import ExecutionRecord, Executor
 from .loopnest import AffineAccess, LoopNest
 from .pipeline import PipelinedExactEngine
@@ -34,15 +30,12 @@ __all__ = [
     "Executor",
     "KernelModel",
     "PipelinedExactEngine",
-    "ShardedExactEngine",
     "StoredTrace",
     "StreamDecl",
     "TraceCache",
     "TraceStore",
     "cached_exact_trace",
-    "default_chunk_rows",
     "default_segment_rows",
-    "env_n_shards",
     "kernel_fingerprint",
     "cache_fit_fraction",
     "combine",

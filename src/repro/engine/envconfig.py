@@ -1,20 +1,17 @@
 """Environment-variable knobs for the exact engines.
 
-The streaming engines have three sizing knobs that used to be module
-constants: the disk-store chunk size (rows per ``iter_chunks`` slice),
-the segment size of the pipelined engine (rows per producer block),
-and the shard count of :class:`~repro.engine.exact.ShardedExactEngine`.
-All three are now configurable per process via environment variables —
-``REPRO_CHUNK_ROWS``, ``REPRO_SEGMENT_ROWS``, ``REPRO_N_SHARDS`` (plus
-``REPRO_RING_DEPTH`` for the pipeline ring) — validated *at parse
-time* with a :class:`~repro.errors.SimulationError` naming the
-offending variable, so a typo'd override fails the run immediately
-instead of producing a confusing downstream numpy error.
+The streaming engines have two sizing knobs: ``REPRO_SEGMENT_ROWS``,
+the rows per trace segment — every kernel's ``segments()``, a stored
+trace's mmapped slices, and the row slices both exact engines feed to
+the simulator — and ``REPRO_RING_DEPTH``, the slots of the pipelined
+engine's shared ring. Both are validated *at parse time* with a
+:class:`~repro.errors.SimulationError` naming the offending variable,
+so a typo'd override fails the run immediately instead of producing a
+confusing downstream numpy error.
 
-None of these knobs may change simulation *results*: chunk/segment
-boundaries are invisible to the cache model (tested), and the shard
-count only partitions work. They trade RSS and parallelism against
-overhead.
+Neither knob may change simulation *results*: segment boundaries are
+invisible to the cache model (tested). They trade RSS against
+per-segment overhead.
 
 The sampling observer (``repro.papi.sampling``) adds three more:
 ``REPRO_SAMPLE_PERIOD`` (mean accesses per sample),
@@ -39,13 +36,9 @@ from typing import Optional
 
 from ..errors import SimulationError
 
-#: Rows per mmapped slice when streaming a stored trace from disk.
-CHUNK_ROWS_ENV = "REPRO_CHUNK_ROWS"
-#: Rows per trace segment emitted by ``KernelModel.segments()``.
+#: Rows per trace segment (``KernelModel.segments()``,
+#: ``StoredTrace.segments()``, the exact engines' row slices).
 SEGMENT_ROWS_ENV = "REPRO_SEGMENT_ROWS"
-#: Default shard count for ``ShardedExactEngine`` (lifts the old
-#: ``min(8, cpu_count)`` cap; still clamped to ``cache.n_sets``).
-N_SHARDS_ENV = "REPRO_N_SHARDS"
 #: Slots in the pipelined engine's shared-memory segment ring.
 RING_DEPTH_ENV = "REPRO_RING_DEPTH"
 #: Mean sample period (accesses per sample) of the sampling observer.
@@ -61,7 +54,6 @@ TARGET_OCCUPANCY_ENV = "REPRO_TARGET_OCCUPANCY"
 #: Worker CPU pinning: ``auto`` (with autotune), ``on``, or ``off``.
 AFFINITY_ENV = "REPRO_AFFINITY"
 
-DEFAULT_CHUNK_ROWS = 1 << 19
 DEFAULT_SEGMENT_ROWS = 1 << 20
 DEFAULT_RING_DEPTH = 4
 DEFAULT_SAMPLE_PERIOD = 64
@@ -108,11 +100,6 @@ def _env_nonnegative_int(env: str, default: int) -> int:
     if raw is None or raw == "":
         return default
     return nonnegative_int(raw, f"environment variable {env}")
-
-
-def default_chunk_rows() -> int:
-    """Rows per disk-store chunk (``REPRO_CHUNK_ROWS`` or built-in)."""
-    return _env_positive_int(CHUNK_ROWS_ENV, DEFAULT_CHUNK_ROWS)
 
 
 def default_segment_rows() -> int:
@@ -205,11 +192,3 @@ def affinity_mode() -> str:
             f"environment variable {AFFINITY_ENV} must be one of "
             f"auto/on/off, got {raw!r}")
     return lowered
-
-
-def env_n_shards() -> Optional[int]:
-    """Shard-count override from ``REPRO_N_SHARDS`` (None when unset)."""
-    raw = os.environ.get(N_SHARDS_ENV)
-    if raw is None or raw == "":
-        return None
-    return positive_int(raw, f"environment variable {N_SHARDS_ENV}")

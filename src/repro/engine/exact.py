@@ -7,54 +7,80 @@ per loop nest from the declared streams — reference kernels are
 steady-state loops, so the policy the hardware converges to is constant
 over the nest.
 
-Three speed tiers, all bit-identical in traffic (see DESIGN.md §6):
+Two tiers of :class:`ExactEngine`, bit-identical in traffic (see
+DESIGN.md §6.1):
 
-* scalar — :class:`ExactEngine` fed an ``Access`` iterable; one Python
-  call per access (the oracle);
-* batch — :class:`ExactEngine` fed a :class:`BatchTrace`; columnar
-  sector expansion and run-coalesced simulation via
-  :meth:`CacheSim.access_batch`;
-* sharded — :class:`ShardedExactEngine`; the sector-expanded trace is
-  partitioned by set index across worker processes, each simulating its
-  slice of sets. Replacement state is per-set and a stable partition
-  preserves per-set program order exactly, so summing the per-shard
-  :class:`TrafficCounters` reproduces the single-process result.
+* scalar — fed an ``Access`` iterable; one Python call per access
+  (the oracle);
+* batch — fed a :class:`BatchTrace` or an on-disk
+  :class:`~repro.engine.tracestore.StoredTrace`; :func:`iter_segments`
+  streams it in bounded row slices, one columnar
+  :meth:`CacheSim.access_batch` call each. Simulator state carries
+  across calls, so segment boundaries are invisible and a disk entry
+  simulates with peak RSS bounded by a few segments.
 
-Both engines additionally accept a
-:class:`~repro.engine.tracestore.StoredTrace` — a persistent on-disk
-trace — and stream it chunk-by-chunk, so trace size no longer bounds
-simulation: ``ExactEngine`` feeds bounded-size column slices through
-``access_batch`` (state carries across chunks, so the result is
-bit-identical to the one-shot batch call), and ``ShardedExactEngine``
-hands each worker the *path* of the shared entry to mmap read-only
-instead of pickling columns, checkpointing each completed set-shard so
-an interrupted billion-access run resumes instead of restarting (see
-DESIGN.md §6.2).
+:func:`iter_segments` also feeds the multi-process engine,
+:class:`~repro.engine.pipeline.PipelinedExactEngine` (DESIGN.md §6.3).
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
 from ..errors import SimulationError
-from ..machine.cache import CacheSim, TrafficCounters, expand_to_sectors
+from ..machine.cache import CacheSim, TrafficCounters
 from ..machine.config import CacheConfig
 from ..machine.prefetch import SoftwarePrefetch
 from ..machine.store import StorePolicy
-from .envconfig import default_chunk_rows, env_n_shards, positive_int
-from .stream import BatchTrace, StreamDecl, TraceLike, resolve_policies
+from .envconfig import resolve_segment_rows
+from .stream import (
+    BatchTrace,
+    StreamDecl,
+    TraceLike,
+    iter_row_slices,
+    resolve_policies,
+)
+from .trace import KernelModel
 from .tracestore import StoredTrace
 
 #: What the engines accept as a trace, disk tier included.
 AnyTrace = Union[TraceLike, StoredTrace]
+
+#: What :func:`iter_segments` streams: a kernel (its bounded emitter),
+#: a disk entry, a materialized trace, or any iterable of segments.
+SegmentSource = Union[KernelModel, BatchTrace, StoredTrace,
+                      Iterable[BatchTrace]]
+
+
+def iter_segments(source: SegmentSource,
+                  target_rows: Optional[int] = None
+                  ) -> Iterator[BatchTrace]:
+    """Program-ordered :class:`BatchTrace` segments of ``source``, each
+    at most ~``target_rows`` rows (default ``REPRO_SEGMENT_ROWS``).
+
+    Kernels and disk entries emit through their own ``segments()``; a
+    materialized trace is row-sliced (views, not copies); any other
+    iterable passes through. A segment that is not a ``BatchTrace``
+    (say, a scalar ``Access``) raises :class:`SimulationError`.
+    """
+    if isinstance(source, (KernelModel, StoredTrace)):
+        segments = source.segments(target_rows)
+    elif isinstance(source, BatchTrace):
+        segments = iter_row_slices(source, resolve_segment_rows(target_rows))
+    else:
+        segments = source
+    for segment in segments:
+        if not isinstance(segment, BatchTrace):
+            raise SimulationError(
+                f"expected BatchTrace segments, got "
+                f"{type(segment).__name__}: pass a KernelModel, a "
+                f"BatchTrace (kernel.exact_trace(), "
+                f"BatchTrace.from_accesses()), a StoredTrace "
+                f"(TraceStore.get_or_create()) or an iterable of "
+                f"BatchTrace segments")
+        yield segment
 
 
 def _resolve_bypass(streams, prefetch) -> Dict[str, bool]:
@@ -77,55 +103,40 @@ def _bypass_column(trace: BatchTrace,
 class ExactEngine:
     """Run program-ordered access traces through :class:`CacheSim`.
 
-    ``run_nest`` accepts either an iterable of :class:`Access` objects
-    (scalar oracle path) or a :class:`BatchTrace` (columnar fast path);
-    both produce identical traffic.
+    ``run_nest`` accepts an iterable of :class:`Access` objects
+    (scalar oracle path), a :class:`BatchTrace` or a
+    :class:`StoredTrace` (columnar path); all produce identical
+    traffic.
     """
 
     def __init__(self, cache: CacheConfig,
                  capacity_override: Optional[int] = None):
-        if capacity_override is not None:
-            cache = CacheConfig(
-                capacity_bytes=_round_capacity(capacity_override, cache),
-                line_bytes=cache.line_bytes,
-                granule_bytes=cache.granule_bytes,
-                associativity=cache.associativity,
-            )
-        self.cache_config = cache
-        self.sim = CacheSim(cache)
+        self.cache_config = _with_capacity(cache, capacity_override)
+        self.sim = CacheSim(self.cache_config)
 
     # ------------------------------------------------------------------
     def run_nest(self, streams: Iterable[StreamDecl],
                  accesses: AnyTrace,
                  prefetch: SoftwarePrefetch = SoftwarePrefetch(),
-                 flush_at_end: bool = True,
-                 chunk_rows: Optional[int] = None) -> TrafficCounters:
+                 flush_at_end: bool = True) -> TrafficCounters:
         """Execute one loop nest and return its memory traffic.
 
         ``flush_at_end`` drains dirty data so that deferred write-backs
         are charged to the nest that produced them (the nest counters on
         real hardware eventually see those bytes; the analytic laws
-        charge them immediately). A :class:`StoredTrace` is streamed in
-        ``chunk_rows``-row slices (default: ``REPRO_CHUNK_ROWS`` or the
-        built-in) — simulator state carries across ``access_batch``
-        calls, so the traffic is bit-identical to the in-RAM batch path
-        while peak RSS stays bounded by a few chunks.
+        charge them immediately). A :class:`BatchTrace` or
+        :class:`StoredTrace` streams through :func:`iter_segments` —
+        simulator state carries across ``access_batch`` calls, so the
+        traffic is bit-identical to one call over the whole trace while
+        a disk entry's peak RSS stays bounded by a few segments.
         """
-        chunk_rows = (default_chunk_rows() if chunk_rows is None
-                      else positive_int(chunk_rows, "chunk_rows"))
         bypass = _resolve_bypass(streams, prefetch)
         before = (self.sim.traffic.read_bytes, self.sim.traffic.write_bytes)
-        if isinstance(accesses, StoredTrace):
-            for chunk in accesses.iter_chunks(chunk_rows):
-                if len(chunk):
-                    self.sim.access_batch(
-                        chunk.addr, chunk.size, chunk.is_write,
-                        _bypass_column(chunk, bypass))
-        elif isinstance(accesses, BatchTrace):
-            if len(accesses):
+        if isinstance(accesses, (BatchTrace, StoredTrace)):
+            for segment in iter_segments(accesses):
                 self.sim.access_batch(
-                    accesses.addr, accesses.size, accesses.is_write,
-                    _bypass_column(accesses, bypass))
+                    segment.addr, segment.size, segment.is_write,
+                    _bypass_column(segment, bypass))
         else:
             for acc in accesses:
                 self.sim.access(acc.addr, acc.size, acc.is_write,
@@ -147,354 +158,16 @@ class ExactEngine:
         self.sim = CacheSim(self.cache_config)
 
 
-# ----------------------------------------------------------------------
-# set-sharded parallel simulation
-# ----------------------------------------------------------------------
-def _simulate_shard(config: CacheConfig, policy: str,
-                    addr: np.ndarray, size: np.ndarray,
-                    is_write: np.ndarray) -> Tuple[int, int, int, int]:
-    """Worker: simulate one shard's subsequence of the trace and flush.
-
-    Each worker builds a full-geometry simulator; only the sets in its
-    shard ever receive accesses, so memory cost is bounded by the
-    shard's resident lines.
-    """
-    sim = CacheSim(config, policy=policy)
-    sim.access_batch(addr, size, is_write)
-    sim.flush()
-    return (sim.traffic.read_bytes, sim.traffic.write_bytes,
-            sim.stats_hits, sim.stats_misses)
-
-
-def _simulate_stored_shard(entry_path: str, shard: int, n_shards: int,
-                           config: CacheConfig, policy: str,
-                           bypass_flags: Tuple[bool, ...],
-                           chunk_rows: int) -> Tuple[int, int, int, int]:
-    """Worker: stream one set-shard's subsequence from the shared
-    on-disk trace.
-
-    The worker mmaps the entry's columns read-only (``verify="meta"``
-    — the parent full-verified the entry when it opened it), drops
-    bypassed stores (the parent's write-combining buffer owns those),
-    sector-expands each chunk, and simulates the rows whose set lands
-    in this shard. Chunking does not change results — simulator state
-    carries across ``access_batch`` calls — so this is bit-identical
-    to the in-RAM sharded path while sharing the trace between
-    workers through the page cache instead of pickled columns.
-    """
-    trace = StoredTrace.open(entry_path, verify="meta")
-    sim = CacheSim(config, policy=policy)
-    per_stream = np.array(bypass_flags, dtype=bool)
-    drop_bypassed = bool(per_stream.any())
-    try:
-        for chunk in trace.iter_chunks(chunk_rows):
-            addr = np.ascontiguousarray(chunk.addr, np.int64)
-            size = np.ascontiguousarray(chunk.size, np.int64)
-            is_write = np.ascontiguousarray(chunk.is_write, bool)
-            if drop_bypassed:
-                keep = ~(per_stream[chunk.stream_id] & is_write)
-                addr, size, is_write = \
-                    addr[keep], size[keep], is_write[keep]
-            if not addr.size:
-                continue
-            c_addr, c_size, c_write, _ = expand_to_sectors(
-                addr, size, is_write, None, config.granule_bytes)
-            line = c_addr // config.line_bytes
-            mask = (line % config.n_sets) % n_shards == shard
-            if mask.any():
-                sim.access_batch(c_addr[mask], c_size[mask], c_write[mask])
-    finally:
-        trace.close()
-    sim.flush()
-    return (sim.traffic.read_bytes, sim.traffic.write_bytes,
-            sim.stats_hits, sim.stats_misses)
-
-
-class _Checkpoints:
-    """Atomic per-shard checkpoint files for one resumable run.
-
-    Layout: ``<dir>/<run_key>/shard-<i>.json`` (plus ``wcb.json`` for
-    the parent's write-combining pass). Files are written via
-    temp + ``os.replace`` so a kill mid-write leaves either the old
-    state or the new one, never a torn file; any unreadable or
-    mismatched checkpoint is ignored (that shard is recomputed).
-    """
-
-    FIELDS = ("read_bytes", "write_bytes", "hits", "misses")
-
-    def __init__(self, root, run_key: str):
-        self.dir = Path(root) / run_key
-        self.run_key = run_key
-        self.dir.mkdir(parents=True, exist_ok=True)
-
-    def load(self, name: str) -> Optional[Tuple[int, int, int, int]]:
-        path = self.dir / f"{name}.json"
-        try:
-            data = json.loads(path.read_text())
-            if data.get("run_key") != self.run_key:
-                return None
-            values = tuple(data[f] for f in self.FIELDS)
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        if not all(isinstance(v, int) and v >= 0 for v in values):
-            return None
-        return values  # type: ignore[return-value]
-
-    def save(self, name: str, values: Tuple[int, int, int, int]) -> None:
-        payload = {"run_key": self.run_key}
-        payload.update(zip(self.FIELDS, (int(v) for v in values)))
-        tmp = self.dir / f".{name}.tmp-{os.getpid()}"
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, self.dir / f"{name}.json")
-
-
-class ShardedExactEngine:
-    """Exact simulation parallelized across L3-slice shard processes.
-
-    Correctness argument: replacement and residency state of a
-    set-associative cache is independent per set, and every sector-size
-    chunk of an access maps to exactly one set. Partitioning the
-    sector-expanded trace by ``set_index % n_shards`` with a *stable*
-    partition preserves each set's access subsequence in program order,
-    so every shard simulates its sets exactly as the single-process
-    engine would, and the per-shard traffic/hit/miss counters sum to
-    the single-process totals. Bypassed stores never touch cache sets
-    (they go through the write-combining buffer, a global FIFO whose
-    order a set partition would *not* preserve) — they are therefore
-    simulated in the parent, exactly.
-
-    Because each nest ends in a flush (write-backs charged to the nest
-    that dirtied the data), shards are independent per nest;
-    ``flush_at_end=False`` is rejected.
-    """
-
-    def __init__(self, cache: CacheConfig, n_shards: Optional[int] = None,
-                 capacity_override: Optional[int] = None,
-                 policy: str = "lru",
-                 checkpoint_dir=None):
-        if capacity_override is not None:
-            cache = CacheConfig(
-                capacity_bytes=_round_capacity(capacity_override, cache),
-                line_bytes=cache.line_bytes,
-                granule_bytes=cache.granule_bytes,
-                associativity=cache.associativity,
-            )
-        self.cache_config = cache
-        self.policy = policy
-        if n_shards is None:
-            # Explicit constructor value wins, then REPRO_N_SHARDS,
-            # then one shard per core (capped at 8 — the point of
-            # diminishing returns for per-shard pool overhead; the env
-            # var and constructor lift that cap).
-            n_shards = env_n_shards()
-            if n_shards is None:
-                n_shards = max(1, min(8, os.cpu_count() or 1))
-        else:
-            positive_int(n_shards, "n_shards")
-        self.n_shards = max(1, min(int(n_shards), cache.n_sets))
-        # The write-combining buffer lives in the parent simulator.
-        self.sim = CacheSim(cache, policy=policy)
-        self.last_stats: Optional[Dict[str, int]] = None
-        #: Directory for per-set-shard checkpoints of StoredTrace runs
-        #: (None disables resumability).
-        self.checkpoint_dir = checkpoint_dir
-        #: Test/fault-injection hook: called with the shard index after
-        #: each shard's result is checkpointed and accumulated.
-        self.after_shard_hook: Optional[Callable[[int], None]] = None
-        #: How many shards the last StoredTrace run restored from
-        #: checkpoints instead of recomputing.
-        self.shards_resumed = 0
-
-    def run_nest(self, streams: Iterable[StreamDecl],
-                 accesses: AnyTrace,
-                 prefetch: SoftwarePrefetch = SoftwarePrefetch(),
-                 flush_at_end: bool = True,
-                 chunk_rows: Optional[int] = None) -> TrafficCounters:
-        """Execute one loop nest sharded across worker processes."""
-        chunk_rows = (default_chunk_rows() if chunk_rows is None
-                      else positive_int(chunk_rows, "chunk_rows"))
-        if not isinstance(accesses, (BatchTrace, StoredTrace)):
-            raise SimulationError(
-                "ShardedExactEngine requires a BatchTrace or StoredTrace; "
-                "build one via kernel.exact_trace(), "
-                "BatchTrace.from_accesses(), or TraceStore.get_or_create()")
-        if not flush_at_end:
-            raise SimulationError(
-                "sharded simulation requires flush_at_end=True (shards "
-                "are only independent between flushed nests)")
-        if isinstance(accesses, StoredTrace):
-            return self._run_stored(streams, accesses, prefetch, chunk_rows)
-        trace = accesses
-        bypass = _resolve_bypass(streams, prefetch)
-        total = TrafficCounters()
-        hits = 0
-        misses = 0
-        if len(trace) == 0:
-            self.last_stats = {"hits": 0, "misses": 0}
-            return total
-
-        byp_col = _bypass_column(trace, bypass)
-        addr, size, is_write = trace.addr, trace.size, trace.is_write
-        if byp_col is not None:
-            keep = ~byp_col
-            self.sim.access_batch(addr[byp_col], size[byp_col],
-                                  is_write[byp_col],
-                                  np.ones(int(byp_col.sum()), dtype=bool))
-            addr, size, is_write = addr[keep], size[keep], is_write[keep]
-        self.sim.flush()  # drain the parent WCB
-        total.add(self.sim.reset_traffic())
-
-        if addr.size:
-            c_addr, c_size, c_write, _ = expand_to_sectors(
-                addr.astype(np.int64), size.astype(np.int64),
-                is_write, None, self.cache_config.granule_bytes)
-            line = c_addr // self.cache_config.line_bytes
-            shard_of = (line % self.cache_config.n_sets) % self.n_shards
-            parts = []
-            for shard in range(self.n_shards):
-                mask = shard_of == shard  # boolean mask: stable partition
-                if mask.any():
-                    parts.append((c_addr[mask], c_size[mask], c_write[mask]))
-            for r, w, h, m in self._map_shards(parts):
-                total.read_bytes += r
-                total.write_bytes += w
-                hits += h
-                misses += m
-        self.last_stats = {"hits": hits, "misses": misses}
-        return total
-
-    # ------------------------------------------------------------------
-    # streamed-from-disk sharding with per-shard checkpoints
-    # ------------------------------------------------------------------
-    def _run_key(self, trace: StoredTrace,
-                 per_stream: np.ndarray) -> str:
-        """Identity of one resumable run: trace content + cache
-        geometry + policy + shard count + store-bypass resolution.
-        Checkpoints only apply to the exact run they were cut from."""
-        cfg = self.cache_config
-        payload = json.dumps(
-            [trace.content_digest, cfg.capacity_bytes, cfg.line_bytes,
-             cfg.granule_bytes, cfg.associativity, self.policy,
-             self.n_shards, per_stream.astype(int).tolist()],
-            separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:20]
-
-    def _run_stored(self, streams: Iterable[StreamDecl],
-                    trace: StoredTrace, prefetch: SoftwarePrefetch,
-                    chunk_rows: int) -> TrafficCounters:
-        bypass = _resolve_bypass(streams, prefetch)
-        per_stream = np.array(
-            [bypass.get(name, False) for name in trace.streams], dtype=bool)
-        ckpt = None
-        if self.checkpoint_dir is not None:
-            ckpt = _Checkpoints(self.checkpoint_dir,
-                                self._run_key(trace, per_stream))
-        total = TrafficCounters()
-        hits = 0
-        misses = 0
-        if len(trace) == 0:
-            self.last_stats = {"hits": 0, "misses": 0}
-            return total
-
-        # Parent pass: bypassed stores through the global write-
-        # combining buffer (a FIFO a set partition would not preserve).
-        if per_stream.any():
-            wcb = ckpt.load("wcb") if ckpt else None
-            if wcb is None:
-                for chunk in trace.iter_chunks(chunk_rows):
-                    col = per_stream[chunk.stream_id] & chunk.is_write
-                    idx = np.flatnonzero(col)
-                    if idx.size:
-                        self.sim.access_batch(
-                            chunk.addr[idx], chunk.size[idx],
-                            chunk.is_write[idx],
-                            np.ones(idx.size, dtype=bool))
-                self.sim.flush()
-                counters = self.sim.reset_traffic()
-                wcb = (counters.read_bytes, counters.write_bytes, 0, 0)
-                if ckpt:
-                    ckpt.save("wcb", wcb)
-            total.read_bytes += wcb[0]
-            total.write_bytes += wcb[1]
-
-        # Set-shards: resume completed ones from checkpoints, stream
-        # the rest from the shared on-disk entry in worker processes.
-        results: Dict[int, Tuple[int, int, int, int]] = {}
-        pending: List[int] = []
-        for shard in range(self.n_shards):
-            done = ckpt.load(f"shard-{shard}") if ckpt else None
-            if done is not None:
-                results[shard] = done
-            else:
-                pending.append(shard)
-        self.shards_resumed = self.n_shards - len(pending)
-        for shard, values in self._map_stored_shards(
-                trace, pending, per_stream, chunk_rows):
-            results[shard] = values
-            if ckpt:
-                ckpt.save(f"shard-{shard}", values)
-            if self.after_shard_hook is not None:
-                self.after_shard_hook(shard)
-        for shard in range(self.n_shards):
-            r, w, h, m = results[shard]
-            total.read_bytes += r
-            total.write_bytes += w
-            hits += h
-            misses += m
-        self.last_stats = {"hits": hits, "misses": misses}
-        return total
-
-    def _map_stored_shards(self, trace: StoredTrace, pending: List[int],
-                           per_stream: np.ndarray, chunk_rows: int):
-        if not pending:
-            return
-        args = [(str(trace.path), shard, self.n_shards, self.cache_config,
-                 self.policy, tuple(bool(b) for b in per_stream),
-                 chunk_rows) for shard in pending]
-        if len(pending) == 1:
-            yield pending[0], _simulate_stored_shard(*args[0])
-            return
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        workers = min(len(pending), max(1, os.cpu_count() or 1))
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=ctx) as pool:
-            futures = {
-                shard: pool.submit(_simulate_stored_shard, *arg)
-                for shard, arg in zip(pending, args)
-            }
-            for shard, future in futures.items():
-                yield shard, future.result()
-
-    def _map_shards(self, parts: List[Tuple[np.ndarray, ...]]):
-        if len(parts) <= 1:
-            for a, s, w in parts:
-                yield _simulate_shard(self.cache_config, self.policy, a, s, w)
-            return
-        # fork keeps the shard columns copy-on-write on POSIX; spawn is
-        # the portable fallback (repro is importable in children via the
-        # inherited PYTHONPATH/installed package).
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        with ProcessPoolExecutor(max_workers=len(parts),
-                                 mp_context=ctx) as pool:
-            futures = [
-                pool.submit(_simulate_shard, self.cache_config, self.policy,
-                            a, s, w)
-                for a, s, w in parts
-            ]
-            for future in futures:
-                yield future.result()
-
-    def reset(self) -> None:
-        self.sim = CacheSim(self.cache_config, policy=self.policy)
-        self.last_stats = None
-
-
-def _round_capacity(capacity: int, cache: CacheConfig) -> int:
-    """Round a capacity override to a valid set-associative geometry."""
+def _with_capacity(cache: CacheConfig,
+                   capacity: Optional[int]) -> CacheConfig:
+    """``cache`` resized to ``capacity`` rounded down to a valid
+    set-associative geometry (``cache`` itself when ``None``)."""
+    if capacity is None:
+        return cache
     unit = cache.line_bytes * cache.associativity
-    rounded = max(unit, (capacity // unit) * unit)
-    return rounded
+    return CacheConfig(
+        capacity_bytes=max(unit, (capacity // unit) * unit),
+        line_bytes=cache.line_bytes,
+        granule_bytes=cache.granule_bytes,
+        associativity=cache.associativity,
+    )

@@ -1,18 +1,15 @@
-"""Segment-pipelined streaming exact engine.
+"""Segment-pipelined streaming exact engine: the multi-process path.
 
-:class:`~repro.engine.exact.ShardedExactEngine` removed the
-simulation bottleneck but kept a hard barrier in the end-to-end
-pipeline: a kernel's full trace must be generated (or loaded) before
-the first shard simulates a single row, and every nest pays
-process-pool spawn plus column-pickling cost again.
-:class:`PipelinedExactEngine` removes the barrier the way PEBS-style
-tools do — by processing access records *online* as they are
-produced:
+:class:`PipelinedExactEngine` simulates a trace *online*, as it is
+produced — the way PEBS-style tools process access records — instead
+of materializing it first:
 
 * kernels emit bounded-memory **trace segments** through the
   ``KernelModel.segments()`` protocol (every kernel family implements
   a bounded emitter; concatenation is byte-identical to
-  ``exact_trace()``);
+  ``exact_trace()``), and :func:`~repro.engine.exact.iter_segments`
+  turns any source — kernel, disk entry, materialized trace — into
+  that stream;
 * the producer (parent process) resolves store-bypass once per nest,
   simulates bypassed stores through its private write-combining
   buffer (a global FIFO a set partition would not preserve),
@@ -33,24 +30,24 @@ segment ``seq - ring_depth``, so a slow consumer stalls the producer
 instead of buffering without bound, and peak RSS stays bounded by the
 ring regardless of trace length.
 
-Correctness argument (inherited from ``ShardedExactEngine``, see
-DESIGN.md §6.3): replacement state of a set-associative cache is
-independent per set and every sector-expanded row maps to exactly one
-set. Segments are produced in program order; each worker receives
-every segment in order through its private queue and filters a
-*stable* subsequence, so each set's access sequence is simulated
-exactly as the single-process engine would — per-worker counters sum
-to the monolithic totals, bit for bit. Segment boundaries are
-invisible to the simulator because state carries across
-``access_batch`` calls, and each nest ends in a flush, so nests stay
-independent.
+Correctness argument (DESIGN.md §6.3): replacement state of a
+set-associative cache is independent per set and every
+sector-expanded row maps to exactly one set. Segments are produced in
+program order; each worker receives every segment in order through
+its private queue and filters a *stable* subsequence, so each set's
+access sequence is simulated exactly as the single-process engine
+would — per-worker counters sum to the monolithic totals, bit for
+bit. Segment boundaries are invisible to the simulator because state
+carries across ``access_batch`` calls, and each nest ends in a flush,
+so nests stay independent.
 
 ``run_many()`` schedules several kernels back-to-back through the
 same pool: per-worker queues are ordered, so the producer can start
 generating kernel *k+1* while workers still drain kernel *k*'s
 segments — no barrier at nest boundaries. With ``checkpoint_dir``
 set, each completed kernel's totals are checkpointed and a re-run
-resumes after the last completed kernel.
+resumes after the last completed kernel; this is the engines' only
+resume scheme.
 
 ``n_workers=0`` selects an **inline** mode with no worker processes:
 segments stream through a single simulator in the parent. On a
@@ -72,6 +69,7 @@ import tempfile
 import time
 import traceback
 import warnings
+from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -81,7 +79,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -104,18 +101,15 @@ from .envconfig import (
     resolve_segment_rows,
 )
 from .exact import (
+    SegmentSource,
     _bypass_column,
-    _Checkpoints,
     _resolve_bypass,
-    _round_capacity,
+    _with_capacity,
+    iter_segments,
 )
-from .stream import BatchTrace, StreamDecl, iter_row_slices
+from .stream import BatchTrace, StreamDecl
 from .trace import KernelModel
-from .tracestore import StoredTrace, kernel_fingerprint
-
-#: What ``run_nest`` accepts as a segment source.
-SegmentSource = Union[KernelModel, BatchTrace, StoredTrace,
-                      Iterable[BatchTrace]]
+from .tracestore import kernel_fingerprint
 
 #: Ring slot column layout: (name, dtype, bytes per row).
 _SLOT_COLUMNS = (("addr", "<i8", 8), ("size", "<i4", 4),
@@ -140,6 +134,43 @@ def _slot_views(buf, slot_rows: int, depth: int) -> List[Dict]:
             offset += slot_rows * width
         views.append(cols)
     return views
+
+
+class _Checkpoints:
+    """Atomic per-kernel checkpoint files for one resumable run.
+
+    Layout: ``<dir>/<run_key>/kernel-<digest>.json``. Files are
+    written via temp + ``os.replace`` so a kill mid-write leaves either
+    the old state or the new one, never a torn file; any unreadable or
+    mismatched checkpoint is ignored (that kernel is recomputed).
+    """
+
+    FIELDS = ("read_bytes", "write_bytes", "hits", "misses")
+
+    def __init__(self, root, run_key: str):
+        self.dir = Path(root) / run_key
+        self.run_key = run_key
+        self.dir.mkdir(parents=True, exist_ok=True)
+
+    def load(self, name: str) -> Optional[Tuple[int, int, int, int]]:
+        path = self.dir / f"{name}.json"
+        try:
+            data = json.loads(path.read_text())
+            if data.get("run_key") != self.run_key:
+                return None
+            values = tuple(data[f] for f in self.FIELDS)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+        if not all(isinstance(v, int) and v >= 0 for v in values):
+            return None
+        return values  # type: ignore[return-value]
+
+    def save(self, name: str, values: Tuple[int, int, int, int]) -> None:
+        payload = {"run_key": self.run_key}
+        payload.update(zip(self.FIELDS, (int(v) for v in values)))
+        tmp = self.dir / f".{name}.tmp-{os.getpid()}"
+        tmp.write_text(json.dumps(payload))
+        os.replace(tmp, self.dir / f"{name}.json")
 
 
 def _worker_main(worker_id: int, n_workers: int, ring_path: str,
@@ -247,21 +278,15 @@ class PipelinedExactEngine:
                  autotune: Optional[bool] = None,
                  autotune_config: Optional[AutotuneConfig] = None,
                  affinity: Optional[bool] = None):
-        if capacity_override is not None:
-            cache = CacheConfig(
-                capacity_bytes=_round_capacity(capacity_override, cache),
-                line_bytes=cache.line_bytes,
-                granule_bytes=cache.granule_bytes,
-                associativity=cache.associativity,
-            )
+        cache = _with_capacity(cache, capacity_override)
         self.cache_config = cache
         self.policy = policy
         if n_workers is None:
             n_workers = max(0, (os.cpu_count() or 1) - 1)
         elif n_workers != 0:
             positive_int(n_workers, "n_workers")
-        # One set-shard per worker, clamped like ShardedExactEngine
-        # (and to the uint8 shard column).
+        # One set-shard per worker: no more workers than sets (a worker
+        # without sets would idle) or than the uint8 shard column holds.
         self.n_workers = max(0, min(int(n_workers), cache.n_sets, 255))
         # Knob precedence (locked by regression test): an explicit
         # constructor argument always wins; the env default is only
@@ -584,15 +609,6 @@ class PipelinedExactEngine:
             self._submit_segment(c_addr, c_size, c_write, shard, stats)
 
     # ---------------------------------------------------------- public
-    def _segments_of(self, source: SegmentSource) -> Iterator[BatchTrace]:
-        if isinstance(source, KernelModel):
-            return source.segments(self.segment_rows)
-        if isinstance(source, StoredTrace):
-            return source.iter_chunks(self.segment_rows)
-        if isinstance(source, BatchTrace):
-            return iter_row_slices(source, self.segment_rows)
-        return iter(source)
-
     def run_nest(self, streams: Iterable[StreamDecl],
                  source: SegmentSource,
                  prefetch: SoftwarePrefetch = SoftwarePrefetch(),
@@ -600,14 +616,14 @@ class PipelinedExactEngine:
         """Execute one loop nest, pipelining generation against
         simulation. ``source`` may be a :class:`KernelModel` (segments
         stream straight from the emitter), a :class:`StoredTrace`
-        (chunks stream from disk), a materialized :class:`BatchTrace`
+        (segments stream from disk), a materialized :class:`BatchTrace`
         (row-sliced), or any iterable of :class:`BatchTrace`
-        segments."""
+        segments; anything else raises :class:`SimulationError`."""
         if not flush_at_end:
             raise SimulationError(
                 "pipelined simulation requires flush_at_end=True "
                 "(shards are only independent between flushed nests)")
-        return self._run_pipeline([(streams, source, None)])[0]
+        return self._run_pipeline([(streams, source, None)], prefetch)[0]
 
     def run_kernel(self, kernel: KernelModel,
                    prefetch: SoftwarePrefetch = SoftwarePrefetch()
@@ -649,8 +665,7 @@ class PipelinedExactEngine:
             separators=(",", ":")).encode()).hexdigest()[:20]
         return _Checkpoints(self.checkpoint_dir, run_key)
 
-    def _run_pipeline(self, nests,
-                      prefetch: SoftwarePrefetch = SoftwarePrefetch()
+    def _run_pipeline(self, nests, prefetch: SoftwarePrefetch
                       ) -> List[TrafficCounters]:
         """Pipelined execution of ``[(streams, source, kernel), ...]``
         (``kernel`` non-None enables checkpointing for that entry)."""
@@ -702,8 +717,9 @@ class PipelinedExactEngine:
                                           policy=self.policy)
                 else:
                     self._broadcast(("begin",))
-                self._produce_nest(self._segments_of(source), bypass,
-                                   sim_inline, stats)
+                self._produce_nest(
+                    iter_segments(source, self.segment_rows), bypass,
+                    sim_inline, stats)
                 start = time.perf_counter()
                 self.sim.flush()  # drain this nest's parent WCB
                 wcb = self.sim.reset_traffic()
@@ -734,8 +750,10 @@ class PipelinedExactEngine:
                                 ckpt)
         except Exception:
             # Workers may hold unconsumed messages for this aborted
-            # run; a fresh pool is the only clean state.
+            # run, and the parent WCB the aborted nest's stores: a
+            # fresh pool and simulator are the only clean state.
             self.close()
+            self.reset()
             raise
         wall = time.perf_counter() - wall_start
         n_lanes = max(1, self.n_workers)

@@ -52,7 +52,7 @@ class KernelModel(abc.ABC):
         )
 
     def exact_trace(self) -> BatchTrace:
-        """Columnar program-ordered trace (batch/sharded engines).
+        """Columnar program-ordered trace (batch and pipelined engines).
 
         Kernels override this with a vectorized emitter; the default
         materializes :meth:`exact_accesses`, so any kernel with a
@@ -84,12 +84,6 @@ class KernelModel(abc.ABC):
         """
         target_rows = resolve_segment_rows(target_rows)
         yield from iter_row_slices(self.exact_trace(), target_rows)
-
-    def exact_trace_blocks(self) -> Iterator[BatchTrace]:
-        """Back-compat alias of :meth:`segments` (the protocol it grew
-        into): program-ordered trace as a sequence of column blocks,
-        concatenating byte-identically to :meth:`exact_trace`."""
-        yield from self.segments()
 
     def trace_key(self):
         """Content identity of this kernel's exact trace.

@@ -6,10 +6,9 @@ which moved the bottleneck to the traces themselves: a Gemm N=512
 trace is ~4 GB of columns, regenerated on every process start and far
 beyond what the in-process LRU of :mod:`repro.engine.tracecache` can
 hold. This module persists traces on disk so billion-access
-cross-validation runs (a) generate each trace once, (b) stream it
-through the simulator chunk-by-chunk without materializing it in RAM,
-and (c) share it read-only between shard worker processes through the
-page cache instead of pickling columns.
+cross-validation runs generate each trace once and stream it through
+the exact engines segment by segment (``StoredTrace.segments``)
+without materializing it in RAM.
 
 Layout — one directory per entry under the store root::
 
@@ -34,8 +33,8 @@ Durability and integrity:
   simply adopts the winner's entry;
 * every column carries length, dtype, and a CRC32 in the manifest;
   opening an entry validates structure and file sizes always, and the
-  checksums too unless ``verify="meta"`` is requested (workers re-open
-  entries the parent already verified);
+  checksums too unless ``verify="meta"`` is requested (for entries
+  already verified);
 * eviction is LRU-by-bytes over entries (``gc``), with last-use
   tracked via the manifest's mtime (``os.utime`` on access).
 """
@@ -58,11 +57,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import TraceCorruptionError, TraceStoreError
-from .envconfig import (
-    CHUNK_ROWS_ENV,
-    DEFAULT_CHUNK_ROWS,
-    default_chunk_rows,
-)
+from .envconfig import resolve_segment_rows
 from .stream import BatchTrace
 from .trace import KernelModel
 
@@ -86,11 +81,6 @@ TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 #: Environment variable overriding open-time verification depth
 #: ("full" = structure + checksums, "meta" = structure only).
 TRACE_VERIFY_ENV = "REPRO_TRACE_VERIFY"
-
-# The default rows per streamed chunk (~4 MB of addr column) lives in
-# envconfig (DEFAULT_CHUNK_ROWS, overridable via REPRO_CHUNK_ROWS) and
-# is re-exported here for backwards compatibility.
-_ = (CHUNK_ROWS_ENV, DEFAULT_CHUNK_ROWS)
 
 #: The four columns of a BatchTrace, in manifest order.
 COLUMN_DTYPES = (
@@ -170,10 +160,10 @@ class StoredTrace:
 
     * :meth:`load` — the whole trace as a zero-copy mmap-backed
       :class:`BatchTrace` (random access; pages fault in on demand);
-    * :meth:`iter_chunks` — bounded-RSS streaming: row-slices of the
+    * :meth:`segments` — bounded-RSS streaming: row-slices of the
       mmapped columns, with already-consumed pages dropped back to the
-      OS (``madvise(DONTNEED)``) between chunks so peak RSS stays at
-      a few chunks regardless of trace size.
+      OS (``madvise(DONTNEED)``) between segments so peak RSS stays at
+      a few segments regardless of trace size.
     """
 
     def __init__(self, path: Path, manifest: Dict):
@@ -258,17 +248,6 @@ class StoredTrace:
     def nbytes(self) -> int:
         return sum(self.rows * dtype.itemsize for _, dtype in COLUMN_DTYPES)
 
-    @property
-    def content_digest(self) -> str:
-        """Cheap content identity derived from the manifest (column
-        CRCs + shape); used to key simulation checkpoints."""
-        cols = self.manifest["columns"]
-        payload = json.dumps(
-            [self.rows, list(self.streams),
-             [[n, cols[n]["crc32"]] for n, _ in COLUMN_DTYPES]],
-            separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
     # -- data access ----------------------------------------------------
     def _mapped(self) -> List[Tuple[np.ndarray, mmap.mmap]]:
         if self._maps is None:
@@ -292,25 +271,24 @@ class StoredTrace:
                                   addr=cols[0], size=cols[1],
                                   is_write=cols[3])
 
-    def iter_chunks(self, chunk_rows: Optional[int] = None,
-                    ) -> Iterator[BatchTrace]:
-        """Stream the trace as row-slices of ``chunk_rows`` rows
-        (default: ``REPRO_CHUNK_ROWS`` or :data:`DEFAULT_CHUNK_ROWS`).
+    def segments(self, target_rows: Optional[int] = None,
+                 ) -> Iterator[BatchTrace]:
+        """Stream the trace as row-slices of ``target_rows`` rows
+        (default ``REPRO_SEGMENT_ROWS``): the :class:`KernelModel`
+        ``segments`` protocol, so a stored trace is a segment source
+        for both exact engines.
 
-        Chunks are views into the read-only maps; consumed pages are
+        Segments are views into the read-only maps; consumed pages are
         released with ``madvise(DONTNEED)`` so resident set size stays
-        bounded by a few chunks however large the trace is. A chunk is
-        only valid until the next iteration step.
+        bounded by a few segments however large the trace is. A
+        segment is only valid until the next iteration step.
         """
-        if chunk_rows is None:
-            chunk_rows = default_chunk_rows()
-        elif chunk_rows <= 0:
-            raise TraceStoreError("chunk_rows must be positive")
+        target_rows = resolve_segment_rows(target_rows)
         maps = self._mapped()
         cols = [arr for arr, _ in maps]
         page = mmap.PAGESIZE
-        for start in range(0, self.rows, chunk_rows):
-            stop = min(start + chunk_rows, self.rows)
+        for start in range(0, self.rows, target_rows):
+            stop = min(start + target_rows, self.rows)
             yield BatchTrace.trusted(
                 self.streams,
                 stream_id=cols[2][start:stop],
@@ -324,13 +302,6 @@ class StoredTrace:
                 done = (stop * dtype.itemsize) // page * page
                 if done:
                     mm.madvise(mmap.MADV_DONTNEED, 0, done)
-
-    def segments(self, target_rows: Optional[int] = None,
-                 ) -> Iterator[BatchTrace]:
-        """Bounded-memory segment emitter (the :class:`KernelModel`
-        ``segments`` protocol): stored traces duck-type as segment
-        sources for the pipelined engine."""
-        return self.iter_chunks(target_rows)
 
     def close(self) -> None:
         """Drop the column maps (best effort: a map with live NumPy
@@ -518,7 +489,7 @@ class TraceStore:
 
     def open_key(self, key: str,
                  verify: Optional[str] = None) -> StoredTrace:
-        """Open an entry by directory key (CLI / worker path)."""
+        """Open an entry by directory key (CLI path)."""
         entry = StoredTrace.open(self.root / key,
                                  verify=verify or self.verify)
         self._touch(self.root / key)

@@ -1,11 +1,13 @@
-"""Differential tests: batch/sharded exact engines vs the scalar oracle.
+"""Differential tests: batch and set-sharded exact engines vs the
+scalar oracle.
 
 DESIGN.md §6: the scalar per-access path of :class:`CacheSim` is the
-oracle; the columnar ``access_batch`` path and the set-sharded engine
-must reproduce its traffic, hit/miss counts, final cache state and
-write-combining buffer *exactly* on every trace, both policies, any
-chunking. The vectorized ``exact_trace`` emitters must likewise be
-byte-identical to each kernel's scalar ``exact_accesses`` generator.
+oracle; the columnar ``access_batch`` path and the set-sharded worker
+pool of the pipelined engine must reproduce its traffic, hit/miss
+counts, final cache state and write-combining buffer *exactly* on
+every trace, both policies, any chunking. The vectorized
+``exact_trace`` emitters must likewise be byte-identical to each
+kernel's scalar ``exact_accesses`` generator.
 """
 
 import numpy as np
@@ -13,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.exact import ExactEngine, ShardedExactEngine
+from repro.engine.envconfig import SEGMENT_ROWS_ENV
+from repro.engine.exact import ExactEngine
 from repro.engine.loopnest import AffineAccess, LoopNest
+from repro.engine.pipeline import PipelinedExactEngine
 from repro.engine.stream import BatchTrace
 from repro.engine.tracecache import TraceCache, cached_exact_trace
 from repro.errors import SimulationError
@@ -318,23 +322,26 @@ class TestTurbulentReplayAdversarial:
 
 
 # ----------------------------------------------------------------------
-# sharded engine
+# set-sharded worker pool (PipelinedExactEngine)
 # ----------------------------------------------------------------------
 class TestShardedEngine:
     def test_sharded_matches_batch_and_is_deterministic(self):
         kernel = Gemm(24)
         trace = kernel.exact_trace()
-        ref = ExactEngine(SMALL).run_nest(kernel.streams(), trace)
+        batch = ExactEngine(SMALL)
+        ref = batch.run_nest(kernel.streams(), trace)
         results = []
-        for n_shards in (1, 2, 3, 5):
-            eng = ShardedExactEngine(SMALL, n_shards=n_shards)
-            got = eng.run_nest(kernel.streams(), trace)
-            assert (got.read_bytes, got.write_bytes) == \
-                (ref.read_bytes, ref.write_bytes), n_shards
+        for n_workers in (1, 2, 3):
+            with PipelinedExactEngine(SMALL, n_workers=n_workers,
+                                      segment_rows=997) as eng:
+                got = eng.run_nest(kernel.streams(), trace)
             results.append((got.read_bytes, got.write_bytes,
                             eng.last_stats["hits"],
                             eng.last_stats["misses"]))
-        assert len(set(results)) == 1  # identical across shard counts
+        # identical across worker counts, and to the batch engine
+        assert set(results) == {(ref.read_bytes, ref.write_bytes,
+                                 batch.sim.stats_hits,
+                                 batch.sim.stats_misses)}
 
     def test_sharded_with_bypassed_stores(self):
         # STREAM triad bypasses its stores: the WCB is simulated in
@@ -342,24 +349,40 @@ class TestShardedEngine:
         kernel = StreamKernel(op="triad", n=2048)
         trace = kernel.exact_trace()
         ref = ExactEngine(SMALL).run_nest(kernel.streams(), trace)
-        got = ShardedExactEngine(SMALL, n_shards=3).run_nest(
-            kernel.streams(), trace)
+        with PipelinedExactEngine(SMALL, n_workers=3,
+                                  segment_rows=1000) as eng:
+            got = eng.run_nest(kernel.streams(), trace)
         assert (got.read_bytes, got.write_bytes) == \
             (ref.read_bytes, ref.write_bytes)
 
     def test_sharded_rejects_scalar_traces_and_partial_flush(self):
         kernel = Dot(256)
-        eng = ShardedExactEngine(SMALL, n_shards=2)
-        with pytest.raises(SimulationError):
-            eng.run_nest(kernel.streams(), kernel.exact_accesses())
-        with pytest.raises(SimulationError):
-            eng.run_nest(kernel.streams(), kernel.exact_trace(),
-                         flush_at_end=False)
+        for n_workers in (0, 2):  # inline and pooled
+            with PipelinedExactEngine(SMALL, n_workers=n_workers) as eng:
+                with pytest.raises(SimulationError, match="BatchTrace"):
+                    eng.run_nest(kernel.streams(),
+                                 kernel.exact_accesses())
+                with pytest.raises(SimulationError, match="BatchTrace"):
+                    eng.run_nest(kernel.streams(),
+                                 [kernel.exact_trace(), "not a segment"])
+                with pytest.raises(SimulationError):
+                    eng.run_nest(kernel.streams(), kernel.exact_trace(),
+                                 flush_at_end=False)
 
     def test_shard_count_clamped_to_sets(self):
         cfg = CacheConfig(capacity_bytes=4 * 1024, associativity=16)
-        eng = ShardedExactEngine(cfg, n_shards=64)
-        assert eng.n_shards <= cfg.n_sets
+        assert cfg.n_sets == 2
+        eng = PipelinedExactEngine(cfg, n_workers=64)
+        assert eng.n_workers <= cfg.n_sets
+        assert eng.worker_pids() == []  # the pool spawns on first run
+        kernel = Gemm(8)
+        ref = ExactEngine(cfg).run_nest(kernel.streams(),
+                                        kernel.exact_trace())
+        with eng:
+            got = eng.run_kernel(kernel)
+            assert len(eng.worker_pids()) == eng.n_workers
+        assert (got.read_bytes, got.write_bytes) == \
+            (ref.read_bytes, ref.write_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -454,7 +477,8 @@ STORE_KERNELS = [
 class TestStoredTraceDifferential:
     @pytest.mark.parametrize(
         "kernel", STORE_KERNELS, ids=lambda k: k.name)
-    def test_streamed_from_disk_matches_oracle(self, kernel, tmp_path):
+    def test_streamed_from_disk_matches_oracle(self, kernel, tmp_path,
+                                               monkeypatch):
         from repro.engine.tracestore import TraceStore
 
         store = TraceStore(tmp_path / "store", verify="full")
@@ -464,9 +488,9 @@ class TestStoredTraceDifferential:
             kernel.streams(), kernel.exact_accesses())
         batch = ExactEngine(SMALL).run_nest(
             kernel.streams(), kernel.exact_trace())
-        # Tiny chunk_rows forces many chunks even on small traces.
-        streamed = ExactEngine(SMALL).run_nest(
-            kernel.streams(), entry, chunk_rows=257)
+        # Tiny segments force many of them even on small traces.
+        monkeypatch.setenv(SEGMENT_ROWS_ENV, "257")
+        streamed = ExactEngine(SMALL).run_nest(kernel.streams(), entry)
         entry.close()
         assert (streamed.read_bytes, streamed.write_bytes) == \
             (batch.read_bytes, batch.write_bytes) == \
@@ -482,8 +506,10 @@ class TestStoredTraceDifferential:
         entry = store.get_or_create(kernel)
         ref = ExactEngine(SMALL).run_nest(
             kernel.streams(), kernel.exact_trace())
-        got = ShardedExactEngine(SMALL, n_shards=3).run_nest(
-            kernel.streams(), entry, chunk_rows=509)
+        with PipelinedExactEngine(SMALL, n_workers=2,
+                                  segment_rows=509) as eng:
+            got = eng.run_nest(kernel.streams(), entry)
+        assert eng.last_pipeline_stats["segments"] > 1
         entry.close()
         assert (got.read_bytes, got.write_bytes) == \
             (ref.read_bytes, ref.write_bytes)

@@ -5,10 +5,12 @@ DESIGN.md §6.3: segment boundaries must be invisible — every kernel's
 monolithic ``exact_trace()``, and the pipelined engine (inline or
 through the persistent worker pool) must reproduce the batch engine's
 traffic, hit and miss counts exactly, for any segment size, ring
-depth, and worker count. Checkpointed multi-kernel runs must resume
-after a fault without changing a single byte of the totals.
+depth, worker count and entry point. Checkpointed multi-kernel runs
+must resume after a fault without changing a single byte of the
+totals, and an aborted run must leave nothing behind for the next.
 """
 
+import json
 import os
 import signal
 
@@ -18,17 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.envconfig import (
-    CHUNK_ROWS_ENV,
-    N_SHARDS_ENV,
     RING_DEPTH_ENV,
     SEGMENT_ROWS_ENV,
-    default_chunk_rows,
     default_ring_depth,
     default_segment_rows,
-    env_n_shards,
     resolve_segment_rows,
 )
-from repro.engine.exact import ExactEngine, ShardedExactEngine
+from repro.engine.exact import ExactEngine
 from repro.engine.loopnest import AffineAccess, LoopNest
 from repro.engine.pipeline import PipelinedExactEngine
 from repro.errors import SimulationError
@@ -38,6 +36,7 @@ from repro.kernels.blas import CappedGemv, Dot, Gemm
 from repro.kernels.sparse import SpmvKernel, random_csr
 from repro.kernels.stream import StreamKernel
 from repro.machine.config import CacheConfig
+from repro.machine.prefetch import SoftwarePrefetch
 
 SMALL = CacheConfig(capacity_bytes=64 * 1024)
 
@@ -103,13 +102,6 @@ class TestSegmentProtocol:
         for col in ("addr", "size", "stream_id", "is_write"):
             got = np.concatenate([getattr(s, col) for s in segs])
             np.testing.assert_array_equal(got, getattr(ref, col), col)
-
-    @pytest.mark.parametrize("kernel", FAMILY_KERNELS, ids=_IDS)
-    def test_exact_trace_blocks_alias(self, kernel):
-        """Back-compat: the old block emitter delegates to segments."""
-        blocks = list(kernel.exact_trace_blocks())
-        ref = kernel.exact_trace()
-        assert sum(len(b) for b in blocks) == len(ref)
 
     def test_segments_reject_nonpositive_target(self):
         with pytest.raises(SimulationError):
@@ -248,6 +240,16 @@ class TestPooledPipeline:
 # ----------------------------------------------------------------------
 # checkpoint / resume with fault injection
 # ----------------------------------------------------------------------
+class Boom(RuntimeError):
+    pass
+
+
+CRASH_KERNELS = [
+    Gemm(16),                           # no bypassed stores
+    StreamKernel(op="triad", n=4096),   # bypassed stores -> parent WCB
+]
+
+
 class TestCheckpointResume:
     def test_resume_after_hook_fault(self, tmp_path):
         kernels = [Gemm(10), Dot(777), StreamKernel(op="triad", n=800)]
@@ -290,25 +292,153 @@ class TestCheckpointResume:
         assert eng.kernels_resumed == 1
         assert (results[0].read_bytes, results[0].write_bytes) == ref[:2]
 
+    @pytest.mark.parametrize("kernel", CRASH_KERNELS, ids=lambda k: k.name)
+    def test_killed_mid_run_resumes_to_identical_counters(
+            self, kernel, tmp_path):
+        kernels = [kernel, Dot(777)]
+        refs = [batch_reference(k) for k in kernels]
+        ckpt = tmp_path / "ckpt"
+        eng = PipelinedExactEngine(SMALL, n_workers=2, segment_rows=509,
+                                   checkpoint_dir=ckpt)
+        survived = []
+
+        def die_after_first_kernel(worker_id):
+            survived.append(worker_id)
+            raise Boom(f"injected kill after worker {worker_id}")
+
+        eng.after_shard_hook = die_after_first_kernel
+        with pytest.raises(Boom):
+            eng.run_many(kernels)
+        assert len(survived) == 1
+
+        with PipelinedExactEngine(SMALL, n_workers=2, segment_rows=509,
+                                  checkpoint_dir=ckpt) as resumed:
+            first = resumed.run_many(kernels)
+            assert resumed.kernels_resumed == 1
+            # A third run resumes everything and recomputes nothing.
+            again = resumed.run_many(kernels)
+            assert resumed.kernels_resumed == 2
+            # Resumed hits and misses come from the checkpoint.
+            assert (resumed.last_stats["hits"],
+                    resumed.last_stats["misses"]) == \
+                (sum(r[2] for r in refs), sum(r[3] for r in refs))
+        for results in (first, again):
+            assert [(t.read_bytes, t.write_bytes) for t in results] == \
+                [ref[:2] for ref in refs]
+
+    @pytest.mark.parametrize("garbage", ["{broken", "[]"])
+    def test_corrupt_checkpoint_is_recomputed(self, tmp_path, garbage):
+        kernels = CRASH_KERNELS
+        refs = [batch_reference(k) for k in kernels]
+        ckpt = tmp_path / "ckpt"
+        PipelinedExactEngine(SMALL, n_workers=0,
+                             checkpoint_dir=ckpt).run_many(kernels)
+        files = sorted(ckpt.rglob("kernel-*.json"))
+        assert len(files) == 2
+        files[0].write_text(garbage)
+
+        with PipelinedExactEngine(SMALL, n_workers=2,
+                                  checkpoint_dir=ckpt) as eng:
+            results = eng.run_many(kernels)
+        assert eng.kernels_resumed == 1
+        assert [(t.read_bytes, t.write_bytes) for t in results] == \
+            [ref[:2] for ref in refs]
+        # The recomputed kernel's checkpoint is whole again.
+        assert isinstance(json.loads(files[0].read_text()), dict)
+
+    def test_checkpoints_keyed_by_run_configuration(self, tmp_path):
+        kernels = [Gemm(64), StreamKernel(op="triad", n=4096)]
+        ckpt = tmp_path / "ckpt"
+        saved = PipelinedExactEngine(SMALL, n_workers=0,
+                                     checkpoint_dir=ckpt).run_many(kernels)
+        for cache, policy in (
+                (CacheConfig(capacity_bytes=32 * 1024), "lru"),
+                (SMALL, "fifo")):
+            want = PipelinedExactEngine(cache, n_workers=0,
+                                        policy=policy).run_many(kernels)
+            # Another configuration moves the traffic, so a reused
+            # checkpoint would show.
+            assert want != saved, (cache, policy)
+            eng = PipelinedExactEngine(cache, n_workers=0, policy=policy,
+                                       checkpoint_dir=ckpt)
+            assert eng.run_many(kernels) == want
+            assert eng.kernels_resumed == 0
+        same = PipelinedExactEngine(SMALL, n_workers=0,
+                                    checkpoint_dir=ckpt)
+        assert same.run_many(kernels) == saved
+        assert same.kernels_resumed == 2
+
+
+# ----------------------------------------------------------------------
+# entry points: prefetch reaches store-bypass resolution everywhere
+# ----------------------------------------------------------------------
+class TestPrefetchPassThrough:
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    def test_every_entry_point_matches_exact_engine(self, n_workers):
+        # dcbtst turns STREAM copy's bypassed stores into write-allocate
+        # stores, which read their lines: the read bytes double.
+        kernel = StreamKernel(op="copy", n=4096)
+        refs = {}
+        for prefetch in (SoftwarePrefetch(),
+                         SoftwarePrefetch(dcbt=True, dcbtst=True)):
+            ref = ExactEngine(SMALL).run_nest(
+                kernel.streams(), kernel.exact_trace(), prefetch)
+            refs[prefetch] = (ref.read_bytes, ref.write_bytes)
+            with PipelinedExactEngine(SMALL, n_workers=n_workers,
+                                      segment_rows=1000) as eng:
+                got = {
+                    "run_nest": eng.run_nest(kernel.streams(), kernel,
+                                             prefetch),
+                    "run_kernel": eng.run_kernel(kernel, prefetch),
+                    "run_many": eng.run_many([kernel], prefetch)[0],
+                }
+            for entry, traffic in got.items():
+                assert (traffic.read_bytes, traffic.write_bytes) == \
+                    refs[prefetch], (entry, prefetch)
+        assert len(set(refs.values())) == 2
+
+
+# ----------------------------------------------------------------------
+# aborted runs: the next run starts clean
+# ----------------------------------------------------------------------
+class TestAbortedRun:
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    def test_aborted_run_leaves_no_wcb_state(self, n_workers):
+        # Triad's stores bypass the cache into the parent's WCB; a run
+        # aborted mid-nest must not hand them to the next nest.
+        kernel = StreamKernel(op="triad", n=20_000)
+        ref = batch_reference(kernel)
+        with PipelinedExactEngine(SMALL, n_workers=n_workers,
+                                  segment_rows=4096) as eng:
+            seen = []
+
+            def tap(segment):
+                seen.append(len(segment))
+                if len(seen) == 3:
+                    raise RuntimeError("injected tap fault")
+
+            eng.segment_tap = tap
+            with pytest.raises(RuntimeError, match="injected tap fault"):
+                eng.run_kernel(kernel)
+            eng.segment_tap = None
+            traffic = eng.run_kernel(kernel)
+        assert traffic.write_bytes == 160_000
+        assert pipelined_state(eng, traffic) == ref
+
 
 # ----------------------------------------------------------------------
 # env knobs: parse-time validation and plumbing
 # ----------------------------------------------------------------------
 class TestEnvKnobs:
     def test_defaults_without_env(self, monkeypatch):
-        for env in (CHUNK_ROWS_ENV, SEGMENT_ROWS_ENV, N_SHARDS_ENV,
-                    RING_DEPTH_ENV):
+        for env in (SEGMENT_ROWS_ENV, RING_DEPTH_ENV):
             monkeypatch.delenv(env, raising=False)
-        assert default_chunk_rows() == 1 << 19
         assert default_segment_rows() == 1 << 20
         assert default_ring_depth() == 4
-        assert env_n_shards() is None
 
     @pytest.mark.parametrize("env,resolver", [
-        (CHUNK_ROWS_ENV, default_chunk_rows),
         (SEGMENT_ROWS_ENV, default_segment_rows),
         (RING_DEPTH_ENV, default_ring_depth),
-        (N_SHARDS_ENV, env_n_shards),
     ])
     @pytest.mark.parametrize("bad", ["0", "-3", "1.5", "lots"])
     def test_bad_values_fail_at_parse_time(self, monkeypatch, env,
@@ -318,35 +448,16 @@ class TestEnvKnobs:
             resolver()
 
     def test_env_overrides_are_read(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ROWS_ENV, "12345")
         monkeypatch.setenv(SEGMENT_ROWS_ENV, "777")
         monkeypatch.setenv(RING_DEPTH_ENV, "9")
-        monkeypatch.setenv(N_SHARDS_ENV, "12")
-        assert default_chunk_rows() == 12345
         assert resolve_segment_rows(None) == 777
         assert resolve_segment_rows(55) == 55
         assert default_ring_depth() == 9
-        assert env_n_shards() == 12
 
     def test_segment_env_flows_into_kernel_segments(self, monkeypatch):
         monkeypatch.setenv(SEGMENT_ROWS_ENV, "100")
         segs = list(Dot(400).segments())
         assert len(segs) == 8  # 800 rows / (100-row target => 50 iters)
-
-    def test_sharded_engine_cap_lifted(self, monkeypatch):
-        monkeypatch.delenv(N_SHARDS_ENV, raising=False)
-        eng = ShardedExactEngine(SMALL, n_shards=12)
-        assert eng.n_shards == 12  # old hard cap was min(8, cpus)
-        monkeypatch.setenv(N_SHARDS_ENV, "10")
-        assert ShardedExactEngine(SMALL).n_shards == 10
-        monkeypatch.setenv(N_SHARDS_ENV, "junk")
-        with pytest.raises(SimulationError, match=N_SHARDS_ENV):
-            ShardedExactEngine(SMALL)
-
-    def test_sharded_engine_still_clamped_to_sets(self, monkeypatch):
-        cfg = CacheConfig(capacity_bytes=4 * 1024, associativity=16)
-        monkeypatch.setenv(N_SHARDS_ENV, "64")
-        assert ShardedExactEngine(cfg).n_shards <= cfg.n_sets
 
     def test_pipelined_engine_rejects_bad_args(self):
         with pytest.raises(SimulationError):
@@ -356,21 +467,26 @@ class TestEnvKnobs:
         with pytest.raises(SimulationError):
             PipelinedExactEngine(SMALL, ring_depth=0)
 
-    def test_chunk_rows_env_flows_into_exact_engine(self, monkeypatch,
-                                                    tmp_path):
+    def test_segment_env_flows_into_exact_engine(self, monkeypatch,
+                                                 tmp_path):
         from repro.engine.tracestore import TraceStore
 
         kernel = Dot(512)
         store = TraceStore(tmp_path / "s", verify="full")
         entry = store.get_or_create(kernel)
-        monkeypatch.setenv(CHUNK_ROWS_ENV, "junk")
-        with pytest.raises(SimulationError, match=CHUNK_ROWS_ENV):
-            ExactEngine(SMALL).run_nest(kernel.streams(), entry)
-        monkeypatch.setenv(CHUNK_ROWS_ENV, "100")
         ref = batch_reference(kernel)
-        traffic = ExactEngine(SMALL).run_nest(kernel.streams(), entry)
+        monkeypatch.setenv(SEGMENT_ROWS_ENV, "junk")
+        for source in (entry, kernel.exact_trace()):
+            with pytest.raises(SimulationError, match=SEGMENT_ROWS_ENV):
+                ExactEngine(SMALL).run_nest(kernel.streams(), source)
+        monkeypatch.setenv(SEGMENT_ROWS_ENV, "100")
+        assert len(list(entry.segments())) == 11  # 1,024 rows
+        for source in (entry, kernel.exact_trace()):
+            eng = ExactEngine(SMALL)
+            traffic = eng.run_nest(kernel.streams(), source)
+            assert (traffic.read_bytes, traffic.write_bytes,
+                    eng.sim.stats_hits, eng.sim.stats_misses) == ref
         entry.close()
-        assert (traffic.read_bytes, traffic.write_bytes) == ref[:2]
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +498,7 @@ class TestPipelineCli:
 
         rc = main(["pipeline", "--kernel", "dot", "--size", "2000",
                    "--workers", "0", "--segment-rows", "512",
-                   "--compare-sequential", "--shards", "2", "--json"])
+                   "--compare-sequential", "--json"])
         captured = capsys.readouterr()
         assert rc == 0
         import json
@@ -390,7 +506,9 @@ class TestPipelineCli:
         report = json.loads(captured.out)
         assert report["traffic_match"] is True
         assert report["pipeline"]["mode"] == "inline"
-        assert report["sequential"]["n_shards"] == 2
+        assert (report["sequential"]["read_bytes"],
+                report["sequential"]["write_bytes"]) == \
+            (report["read_bytes"], report["write_bytes"])
 
     def test_pipeline_subcommand_pool(self, capsys):
         from repro.cli import main

@@ -3,9 +3,9 @@
 DESIGN.md §6.2: a stored trace must round-trip byte-identically
 through the columnar format, a corrupt entry (truncated, bit-flipped,
 or stale-manifest) must never be returned as data, eviction is
-LRU-by-bytes, concurrent writers of one entry converge on a single
-valid copy, and a sharded simulation killed mid-run resumes from its
-per-shard checkpoints to identical counters.
+LRU-by-bytes, and concurrent writers of one entry converge on a single
+valid copy. (Resume after a kill is the pipelined engine's per-kernel
+checkpoint, tested in ``tests/test_engine_pipeline.py``.)
 """
 
 import json
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.exact import ExactEngine, ShardedExactEngine
 from repro.engine.loopnest import AffineAccess, LoopNest
 from repro.engine.stream import BatchTrace
 from repro.engine.trace import KernelModel
@@ -31,12 +30,12 @@ from repro.engine.tracestore import (
     TraceStore,
     kernel_fingerprint,
 )
-from repro.errors import TraceCorruptionError, TraceStoreError
+from repro.errors import (
+    SimulationError,
+    TraceCorruptionError,
+    TraceStoreError,
+)
 from repro.kernels.blas import Gemm
-from repro.kernels.stream import StreamKernel
-from repro.machine.config import CacheConfig
-
-SMALL = CacheConfig(capacity_bytes=64 * 1024)
 
 
 class SyntheticKernel(KernelModel):
@@ -59,7 +58,7 @@ class SyntheticKernel(KernelModel):
     def exact_trace(self):
         return self._trace
 
-    def exact_trace_blocks(self):
+    def segments(self, target_rows=None):
         yield from (self._blocks if self._blocks is not None
                     else [self._trace])
 
@@ -106,21 +105,21 @@ def _split_blocks(trace, n_blocks):
 
 class TestRoundTrip:
     @given(trace=traces(), n_blocks=st.integers(1, 5),
-           chunk_rows=st.integers(3, 64))
+           target_rows=st.integers(3, 64))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_byte_identical(self, trace, n_blocks, chunk_rows):
+    def test_round_trip_byte_identical(self, trace, n_blocks, target_rows):
         root = tempfile.mkdtemp(prefix="repro-ts-")
         try:
             kernel = SyntheticKernel(
                 "synth", trace, _split_blocks(trace, n_blocks))
             store = TraceStore(root, verify="full")
-            store.put(kernel, kernel.exact_trace_blocks())
+            store.put(kernel, kernel.segments())
 
             entry = TraceStore(root, verify="full").get(kernel)
             assert entry is not None and entry.rows == len(trace)
             assert_traces_equal(entry.load(), trace)
 
-            chunks = list(entry.iter_chunks(chunk_rows))
+            chunks = list(entry.segments(target_rows))
             assert sum(len(c) for c in chunks) == len(trace)
             assert all(c.streams == trace.streams for c in chunks)
             assert_traces_equal(
@@ -143,7 +142,7 @@ class TestRoundTrip:
         try:
             kernel = SyntheticKernel("synth", trace)
             store = TraceStore(root, verify="full")
-            store.put(kernel, kernel.exact_trace_blocks())
+            store.put(kernel, kernel.segments())
             fpath = store.path_for(kernel) / f"{column}.bin"
             raw = bytearray(fpath.read_bytes())
             offset = min(int(pos * len(raw)), len(raw) - 1)
@@ -162,8 +161,16 @@ class TestRoundTrip:
         store.put(SyntheticKernel("empty", trace), [trace])
         entry = store.get(SyntheticKernel("empty", trace))
         assert entry.rows == 0
-        assert len(list(entry.iter_chunks(8))) == 0
+        assert len(list(entry.segments(8))) == 0
         assert_traces_equal(entry.load(), trace)
+
+    def test_segments_validate_target_rows(self, tmp_path):
+        # Validated like every kernel's segments(), not by a store rule.
+        entry = TraceStore(tmp_path, verify="full").get_or_create(Gemm(8))
+        for bad in (0, -5, "lots"):
+            with pytest.raises(SimulationError, match="target_rows"):
+                list(entry.segments(bad))
+        entry.close()
 
 
 # ----------------------------------------------------------------------
@@ -377,7 +384,7 @@ class TestConcurrency:
         store = TraceStore(tmp_path, verify="full")
         wa = store.writer(kernel)
         wb = store.writer(kernel)
-        for block in kernel.exact_trace_blocks():
+        for block in kernel.segments():
             wa.append(block)
             wb.append(block)
         ea = wa.commit()
@@ -401,88 +408,4 @@ class TestConcurrency:
         assert all(e is None for e in store.verify_all().values())
         entry = store.get(Gemm(12))
         assert_traces_equal(entry.load(), Gemm(12).exact_trace())
-        entry.close()
-
-
-# ----------------------------------------------------------------------
-# crash / resume: kill mid-run, resume from checkpoints, same counters
-# ----------------------------------------------------------------------
-class Boom(RuntimeError):
-    pass
-
-
-CRASH_KERNELS = [
-    Gemm(16),                           # no bypassed stores
-    StreamKernel(op="triad", n=4096),   # bypassed stores -> WCB pass
-]
-
-
-class TestCrashResume:
-    @pytest.mark.parametrize("kernel", CRASH_KERNELS,
-                             ids=lambda k: k.name)
-    def test_killed_mid_run_resumes_to_identical_counters(
-            self, kernel, tmp_path):
-        store = TraceStore(tmp_path / "store", verify="full")
-        entry = store.get_or_create(kernel)
-        ref = ExactEngine(SMALL).run_nest(
-            kernel.streams(), kernel.exact_trace())
-
-        ckpt = tmp_path / "ckpt"
-        eng = ShardedExactEngine(SMALL, n_shards=4, checkpoint_dir=ckpt)
-        survived = []
-
-        def die_after_two(shard):
-            survived.append(shard)
-            if len(survived) == 2:
-                raise Boom(f"injected kill after shard {shard}")
-
-        eng.after_shard_hook = die_after_two
-        with pytest.raises(Boom):
-            eng.run_nest(kernel.streams(), entry)
-        assert len(survived) == 2
-
-        resumed = ShardedExactEngine(SMALL, n_shards=4,
-                                     checkpoint_dir=ckpt)
-        got = resumed.run_nest(kernel.streams(), entry)
-        assert resumed.shards_resumed == 2
-        assert (got.read_bytes, got.write_bytes) == \
-            (ref.read_bytes, ref.write_bytes)
-
-        # A third run resumes everything and recomputes nothing.
-        again = ShardedExactEngine(SMALL, n_shards=4,
-                                   checkpoint_dir=ckpt)
-        got2 = again.run_nest(kernel.streams(), entry)
-        assert again.shards_resumed == 4
-        assert (got2.read_bytes, got2.write_bytes) == \
-            (ref.read_bytes, ref.write_bytes)
-        entry.close()
-
-    def test_checkpoints_keyed_by_run_configuration(self, tmp_path):
-        kernel = Gemm(16)
-        store = TraceStore(tmp_path / "store", verify="full")
-        entry = store.get_or_create(kernel)
-        ckpt = tmp_path / "ckpt"
-        first = ShardedExactEngine(SMALL, n_shards=4,
-                                   checkpoint_dir=ckpt)
-        first.run_nest(kernel.streams(), entry)
-
-        # Different shard count -> different run key -> no resume.
-        other = ShardedExactEngine(SMALL, n_shards=2,
-                                   checkpoint_dir=ckpt)
-        ref = ExactEngine(SMALL).run_nest(
-            kernel.streams(), kernel.exact_trace())
-        got = other.run_nest(kernel.streams(), entry)
-        assert other.shards_resumed == 0
-        assert (got.read_bytes, got.write_bytes) == \
-            (ref.read_bytes, ref.write_bytes)
-
-        # A corrupt checkpoint file is ignored, not trusted.
-        victim = next(ckpt.rglob("shard-0.json"))
-        victim.write_text("{broken")
-        third = ShardedExactEngine(SMALL, n_shards=4,
-                                   checkpoint_dir=ckpt)
-        got3 = third.run_nest(kernel.streams(), entry)
-        assert third.shards_resumed == 3
-        assert (got3.read_bytes, got3.write_bytes) == \
-            (ref.read_bytes, ref.write_bytes)
         entry.close()
