@@ -301,6 +301,7 @@ def run_benchmarks(
                                 "worker pool kept breaking",
                             )
                         )
+                    pool = None
                     break
                 pool = _make_pool(ctx, workers)
                 for spec in survivors:
@@ -312,7 +313,15 @@ def run_benchmarks(
             for pid in expired_pids:
                 killed_pids.add(pid)
                 _terminate_worker(pool, pid)
-        _force_shutdown(pool)
+        if killed_pids:
+            _force_shutdown(pool)
+        elif pool is not None:
+            # No worker was killed: wait for the executor's own
+            # teardown. Shutting down without waiting races its
+            # management thread, which may still be replacing a
+            # max_tasks_per_child worker, and kills that thread with a
+            # TypeError.
+            pool.shutdown(wait=True)
     finally:
         manager.shutdown()
     ordered = sorted(records.values(), key=lambda r: r["name"])

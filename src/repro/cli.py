@@ -268,96 +268,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_trace_store_parser() -> argparse.ArgumentParser:
-    from .engine.tracestore import TRACE_DIR_ENV
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments trace-store",
-        description="Inspect and maintain the on-disk columnar trace "
-                    "store (persistent BatchTrace entries the exact "
-                    "engines stream from).",
-    )
-    parser.add_argument("--dir", default=None,
-                        help=f"store root (default: ${TRACE_DIR_ENV} "
-                             "or the per-user temp store)")
-    sub = parser.add_subparsers(dest="action")
-    sub.add_parser("ls", help="list entries (key, kernel, rows, bytes, "
-                              "last use)")
-    gc = sub.add_parser("gc", help="evict least-recently-used entries "
-                                   "down to a byte budget")
-    gc.add_argument("--max-bytes", type=int, required=True,
-                    help="byte budget the store must fit in after gc")
-    verify = sub.add_parser("verify",
-                            help="full-checksum entries; nonzero exit "
-                                 "on any corruption")
-    verify.add_argument("key", nargs="?", default=None,
-                        help="verify only this entry key")
-    rm = sub.add_parser("rm", help="delete one entry")
-    rm.add_argument("key", help="entry key (as printed by ls)")
-    return parser
-
-
-def _run_trace_store(argv: List[str]) -> int:
-    import time as _time
-
-    from .engine.tracestore import TraceCorruptionError, TraceStore
-    from .measure.report import format_table
-
-    parser = build_trace_store_parser()
-    args = parser.parse_args(argv)
-    if not args.action:
-        parser.print_help()
-        return 2
-    store = TraceStore(args.dir) if args.dir else TraceStore()
-    if args.action == "ls":
-        rows = []
-        for e in store.entries():
-            age = max(0.0, _time.time() - e.last_used)
-            rows.append([
-                e.key,
-                f"{e.kernel.get('module', '?')}."
-                f"{e.kernel.get('qualname', '?')}",
-                f"{e.rows:,}",
-                f"{e.nbytes / 1e6:.1f}",
-                f"{age / 60:.0f}m ago",
-            ])
-        print(format_table(
-            ["key", "kernel", "rows", "MB", "last use"], rows,
-            title=f"[trace-store] {store.root} — "
-                  f"{store.total_bytes() / 1e6:.1f} MB total"))
-        return 0
-    if args.action == "gc":
-        evicted = store.gc(args.max_bytes)
-        for key in evicted:
-            print(f"evicted {key}")
-        print(f"{len(evicted)} entries evicted; "
-              f"{store.total_bytes() / 1e6:.1f} MB retained")
-        return 0
-    if args.action == "verify":
-        if args.key:
-            try:
-                store.open_key(args.key, verify="full")
-                report = {args.key: None}
-            except TraceCorruptionError as exc:
-                report = {args.key: str(exc)}
-        else:
-            report = store.verify_all()
-        bad = 0
-        for key, error in sorted(report.items()):
-            status = "ok" if error is None else f"CORRUPT: {error}"
-            print(f"{key}  {status}")
-            bad += error is not None
-        print(f"{len(report) - bad}/{len(report)} entries ok")
-        return 1 if bad else 0
-    if args.action == "rm":
-        if store.remove(args.key):
-            print(f"removed {args.key}")
-            return 0
-        print(f"no such entry: {args.key}", file=sys.stderr)
-        return 1
-    return 2
-
-
 def build_pipeline_parser() -> argparse.ArgumentParser:
     from .engine.envconfig import (
         AUTOTUNE_ENV,
@@ -808,9 +718,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # `bench` token can only be the subcommand.
         split = argv.index("bench")
         return _run_bench(argv[:split] + argv[split + 1:])
-    if "trace-store" in argv:
-        split = argv.index("trace-store")
-        return _run_trace_store(argv[:split] + argv[split + 1:])
     if "pipeline" in argv:
         split = argv.index("pipeline")
         return _run_pipeline_cmd(argv[:split] + argv[split + 1:])
@@ -829,8 +736,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               "injection (pcp-load --help)")
         print("bench       Parallel benchmark suite with regression "
               "baselines (bench --help)")
-        print("trace-store On-disk columnar trace store maintenance "
-              "(trace-store --help)")
         print("pipeline    Segment-pipelined exact engine runner "
               "(pipeline --help)")
         print("sample      SPE/PEBS-style sampling profiler with "

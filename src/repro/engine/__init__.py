@@ -16,9 +16,8 @@ from .executor import ExecutionRecord, Executor
 from .loopnest import AffineAccess, LoopNest
 from .pipeline import PipelinedExactEngine
 from .stream import Access, StreamDecl, interleave, resolve_policies
-from .trace import KernelModel
+from .trace import KernelModel, kernel_fingerprint
 from .tracecache import TraceCache, cached_exact_trace
-from .tracestore import StoredTrace, TraceStore, kernel_fingerprint
 
 __all__ = [
     "Access",
@@ -30,10 +29,8 @@ __all__ = [
     "Executor",
     "KernelModel",
     "PipelinedExactEngine",
-    "StoredTrace",
     "StreamDecl",
     "TraceCache",
-    "TraceStore",
     "cached_exact_trace",
     "default_segment_rows",
     "kernel_fingerprint",

@@ -1,10 +1,10 @@
 """Environment-variable knobs for the exact engines.
 
 The streaming engines have two sizing knobs: ``REPRO_SEGMENT_ROWS``,
-the rows per trace segment — every kernel's ``segments()``, a stored
-trace's mmapped slices, and the row slices both exact engines feed to
-the simulator — and ``REPRO_RING_DEPTH``, the slots of the pipelined
-engine's shared ring. Both are validated *at parse time* with a
+the rows per trace segment — every kernel's ``segments()`` and the
+row slices both exact engines cut from a materialized trace — and
+``REPRO_RING_DEPTH``, the slots of the pipelined engine's shared
+ring. Both are validated *at parse time* with a
 :class:`~repro.errors.SimulationError` naming the offending variable,
 so a typo'd override fails the run immediately instead of producing a
 confusing downstream numpy error.
@@ -36,8 +36,8 @@ from typing import Optional
 
 from ..errors import SimulationError
 
-#: Rows per trace segment (``KernelModel.segments()``,
-#: ``StoredTrace.segments()``, the exact engines' row slices).
+#: Rows per trace segment (``KernelModel.segments()``, the exact
+#: engines' row slices).
 SEGMENT_ROWS_ENV = "REPRO_SEGMENT_ROWS"
 #: Slots in the pipelined engine's shared-memory segment ring.
 RING_DEPTH_ENV = "REPRO_RING_DEPTH"

@@ -12,15 +12,15 @@ DESIGN.md §6.1):
 
 * scalar — fed an ``Access`` iterable; one Python call per access
   (the oracle);
-* batch — fed a :class:`BatchTrace` or an on-disk
-  :class:`~repro.engine.tracestore.StoredTrace`; :func:`iter_segments`
-  streams it in bounded row slices, one columnar
+* batch — fed a :class:`BatchTrace`; :func:`iter_segments` streams
+  it in bounded row slices, one columnar
   :meth:`CacheSim.access_batch` call each. Simulator state carries
-  across calls, so segment boundaries are invisible and a disk entry
-  simulates with peak RSS bounded by a few segments.
+  across calls, so segment boundaries are invisible.
 
-:func:`iter_segments` also feeds the multi-process engine,
-:class:`~repro.engine.pipeline.PipelinedExactEngine` (DESIGN.md §6.3).
+:func:`iter_segments` also feeds the pipelined engine,
+:class:`~repro.engine.pipeline.PipelinedExactEngine` (DESIGN.md §6.3),
+which additionally takes a kernel itself: a trace too large for RAM
+streams from the kernel's bounded emitter and is never materialized.
 """
 
 from __future__ import annotations
@@ -43,15 +43,10 @@ from .stream import (
     resolve_policies,
 )
 from .trace import KernelModel
-from .tracestore import StoredTrace
-
-#: What the engines accept as a trace, disk tier included.
-AnyTrace = Union[TraceLike, StoredTrace]
 
 #: What :func:`iter_segments` streams: a kernel (its bounded emitter),
-#: a disk entry, a materialized trace, or any iterable of segments.
-SegmentSource = Union[KernelModel, BatchTrace, StoredTrace,
-                      Iterable[BatchTrace]]
+#: a materialized trace, or any iterable of segments.
+SegmentSource = Union[KernelModel, BatchTrace, Iterable[BatchTrace]]
 
 
 def iter_segments(source: SegmentSource,
@@ -60,12 +55,12 @@ def iter_segments(source: SegmentSource,
     """Program-ordered :class:`BatchTrace` segments of ``source``, each
     at most ~``target_rows`` rows (default ``REPRO_SEGMENT_ROWS``).
 
-    Kernels and disk entries emit through their own ``segments()``; a
-    materialized trace is row-sliced (views, not copies); any other
-    iterable passes through. A segment that is not a ``BatchTrace``
-    (say, a scalar ``Access``) raises :class:`SimulationError`.
+    A kernel emits through its own ``segments()``; a materialized
+    trace is row-sliced (views, not copies); any other iterable passes
+    through. A segment that is not a ``BatchTrace`` (say, a scalar
+    ``Access``) raises :class:`SimulationError`.
     """
-    if isinstance(source, (KernelModel, StoredTrace)):
+    if isinstance(source, KernelModel):
         segments = source.segments(target_rows)
     elif isinstance(source, BatchTrace):
         segments = iter_row_slices(source, resolve_segment_rows(target_rows))
@@ -77,8 +72,7 @@ def iter_segments(source: SegmentSource,
                 f"expected BatchTrace segments, got "
                 f"{type(segment).__name__}: pass a KernelModel, a "
                 f"BatchTrace (kernel.exact_trace(), "
-                f"BatchTrace.from_accesses()), a StoredTrace "
-                f"(TraceStore.get_or_create()) or an iterable of "
+                f"BatchTrace.from_accesses()) or an iterable of "
                 f"BatchTrace segments")
         yield segment
 
@@ -104,9 +98,8 @@ class ExactEngine:
     """Run program-ordered access traces through :class:`CacheSim`.
 
     ``run_nest`` accepts an iterable of :class:`Access` objects
-    (scalar oracle path), a :class:`BatchTrace` or a
-    :class:`StoredTrace` (columnar path); all produce identical
-    traffic.
+    (scalar oracle path) or a :class:`BatchTrace` (columnar path);
+    both produce identical traffic.
     """
 
     def __init__(self, cache: CacheConfig,
@@ -116,7 +109,7 @@ class ExactEngine:
 
     # ------------------------------------------------------------------
     def run_nest(self, streams: Iterable[StreamDecl],
-                 accesses: AnyTrace,
+                 accesses: TraceLike,
                  prefetch: SoftwarePrefetch = SoftwarePrefetch(),
                  flush_at_end: bool = True) -> TrafficCounters:
         """Execute one loop nest and return its memory traffic.
@@ -124,15 +117,14 @@ class ExactEngine:
         ``flush_at_end`` drains dirty data so that deferred write-backs
         are charged to the nest that produced them (the nest counters on
         real hardware eventually see those bytes; the analytic laws
-        charge them immediately). A :class:`BatchTrace` or
-        :class:`StoredTrace` streams through :func:`iter_segments` —
-        simulator state carries across ``access_batch`` calls, so the
-        traffic is bit-identical to one call over the whole trace while
-        a disk entry's peak RSS stays bounded by a few segments.
+        charge them immediately). A :class:`BatchTrace` streams through
+        :func:`iter_segments` — simulator state carries across
+        ``access_batch`` calls, so the traffic is bit-identical to one
+        call over the whole trace.
         """
         bypass = _resolve_bypass(streams, prefetch)
         before = (self.sim.traffic.read_bytes, self.sim.traffic.write_bytes)
-        if isinstance(accesses, (BatchTrace, StoredTrace)):
+        if isinstance(accesses, BatchTrace):
             for segment in iter_segments(accesses):
                 self.sim.access_batch(
                     segment.addr, segment.size, segment.is_write,

@@ -8,8 +8,8 @@ of materializing it first:
   ``KernelModel.segments()`` protocol (every kernel family implements
   a bounded emitter; concatenation is byte-identical to
   ``exact_trace()``), and :func:`~repro.engine.exact.iter_segments`
-  turns any source — kernel, disk entry, materialized trace — into
-  that stream;
+  turns any source — kernel, materialized trace, iterable of
+  segments — into that stream;
 * the producer (parent process) resolves store-bypass once per nest,
   simulates bypassed stores through its private write-combining
   buffer (a global FIFO a set partition would not preserve),
@@ -108,8 +108,7 @@ from .exact import (
     iter_segments,
 )
 from .stream import BatchTrace, StreamDecl
-from .trace import KernelModel
-from .tracestore import kernel_fingerprint
+from .trace import KernelModel, kernel_fingerprint
 
 #: Ring slot column layout: (name, dtype, bytes per row).
 _SLOT_COLUMNS = (("addr", "<i8", 8), ("size", "<i4", 4),
@@ -615,10 +614,10 @@ class PipelinedExactEngine:
                  flush_at_end: bool = True) -> TrafficCounters:
         """Execute one loop nest, pipelining generation against
         simulation. ``source`` may be a :class:`KernelModel` (segments
-        stream straight from the emitter), a :class:`StoredTrace`
-        (segments stream from disk), a materialized :class:`BatchTrace`
-        (row-sliced), or any iterable of :class:`BatchTrace`
-        segments; anything else raises :class:`SimulationError`."""
+        stream straight from the emitter), a materialized
+        :class:`BatchTrace` (row-sliced), or any iterable of
+        :class:`BatchTrace` segments; anything else raises
+        :class:`SimulationError`."""
         if not flush_at_end:
             raise SimulationError(
                 "pipelined simulation requires flush_at_end=True "

@@ -83,9 +83,8 @@ class BatchTrace:
                 addr: np.ndarray, size: np.ndarray,
                 is_write: np.ndarray) -> "BatchTrace":
         """Wrap pre-validated columns without the ``__post_init__``
-        scans (which read every element — prohibitive for mmapped
-        billion-row columns whose invariants the trace store already
-        checked at persist time)."""
+        scans (which read every element — wasted work for row slices
+        of a trace whose columns already passed them)."""
         trace = cls.__new__(cls)
         trace.streams = streams
         trace.stream_id = stream_id

@@ -8,12 +8,21 @@ computational kernel that the reproduction needs:
 2. *stream declarations* — what the prefetcher/store policy sees;
 3. *traffic law* — analytic memory traffic per execution on one core,
    plus (for small sizes) an exact program-ordered access trace.
+
+:func:`kernel_fingerprint` hashes a kernel's ``trace_key()`` into the
+content identity that keys the RAM trace cache and the pipelined
+engine's ``run_many`` checkpoints.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
+import hashlib
+import json
 from typing import Iterator, List, Optional
+
+import numpy as np
 
 from ..machine.cache import TrafficCounters
 from ..machine.prefetch import SoftwarePrefetch
@@ -73,9 +82,9 @@ class KernelModel(abc.ABC):
         segment carries the same ``streams`` tuple, and each segment
         is at most ~``target_rows`` rows (kernels may round to a
         natural emission unit, e.g. whole GEMM outer iterations).
-        The pipelined engine and the disk store consume traces through
-        this method so billion-access traces never materialize in RAM
-        at once.
+        The pipelined engine consumes a kernel through this method, so
+        a billion-access trace streams from its emitter and never
+        materializes in RAM at once.
 
         ``target_rows`` defaults to ``REPRO_SEGMENT_ROWS`` (or the
         built-in 1 Mi rows). The default implementation slices the
@@ -88,13 +97,14 @@ class KernelModel(abc.ABC):
     def trace_key(self):
         """Content identity of this kernel's exact trace.
 
-        Used (hashed) to key trace caches and the on-disk store: two
-        kernels with equal ``(type, trace_key())`` must emit identical
-        traces. The default captures every public instance attribute —
-        shape parameters, seeds, nested dataclasses, arrays — which is
-        correct for all the dataclass-style kernels in this repo;
-        kernels whose trace depends on less than their full state may
-        override it to share entries.
+        Hashed by :func:`kernel_fingerprint` to key the trace cache and
+        the pipeline's checkpoints: two kernels with equal
+        ``(type, trace_key())`` must emit identical traces. The default
+        captures every public instance attribute — shape parameters,
+        seeds, nested dataclasses, arrays — which is correct for all
+        the dataclass-style kernels in this repo; kernels whose trace
+        depends on less than their full state may override it to share
+        entries.
         """
         state = getattr(self, "__dict__", None)
         if state:
@@ -136,3 +146,53 @@ class KernelModel(abc.ABC):
         Kernels override this; None when the paper gives no expectation.
         """
         return None
+
+
+#: Version of the kernel trace emitters. Bump on any change to the
+#: *bytes* an ``exact_trace``/``segments`` implementation produces:
+#: the fingerprint includes it, so cached traces and ``run_many``
+#: checkpoints of the old emitter stop matching instead of being
+#: silently reused. Segment boundary changes alone do not require a
+#: bump.
+EMITTER_VERSION = 1
+
+
+def _canonical(value):
+    """JSON-able canonical form of a trace-key value (stable across
+    processes; arrays are content-hashed, not repr-ed)."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.ndarray):
+        digest = hashlib.sha256(np.ascontiguousarray(value).tobytes())
+        return ["ndarray", str(value.dtype), list(value.shape),
+                digest.hexdigest()]
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _canonical(v) for k, v in sorted(value.items())}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _canonical(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if hasattr(value, "trace_key"):
+        return _canonical(value.trace_key())
+    if hasattr(value, "__dict__"):
+        return {k: _canonical(v) for k, v in sorted(value.__dict__.items())
+                if not k.startswith("_")}
+    return [type(value).__name__, repr(value)]
+
+
+def kernel_fingerprint(kernel: KernelModel) -> str:
+    """Hex digest identifying the *content* of a kernel's exact trace:
+    class identity + name + shape/seed parameters + emitter version."""
+    cls = type(kernel)
+    payload = json.dumps(
+        [cls.__module__, cls.__qualname__, kernel.name,
+         _canonical(kernel.trace_key()), EMITTER_VERSION],
+        sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()

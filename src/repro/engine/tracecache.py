@@ -1,98 +1,68 @@
-"""Size-bounded LRU memoization of kernel batch traces, with an
-optional disk tier.
+"""Size-bounded LRU memoization of kernel batch traces.
 
 Cross-validation and benchmarking repeatedly simulate the *same*
-kernel instance under several engines (scalar vs batch vs sharded) or
-several cache configurations; regenerating a multi-million-row
-:class:`~repro.engine.stream.BatchTrace` each time wastes more time
-than the simulation itself for the vectorized emitters. Traces are
-**independent of the cache configuration** — they are pure address
-streams; only the simulator interprets them against a geometry — so
-one cached trace serves every configuration the engines sweep over.
+kernel instance under several engines (the scalar oracle, the batch
+engine, the pipeline) or several cache configurations; regenerating a
+multi-million-row :class:`~repro.engine.stream.BatchTrace` each time
+wastes more time than the simulation itself for the vectorized
+emitters. Traces are **independent of the cache configuration** — they
+are pure address streams; only the simulator interprets them against a
+geometry — so one cached trace serves every configuration the engines
+sweep over.
 
 Keys are content fingerprints (kernel class + name + shape/seed
-parameters + emitter version, :func:`~repro.engine.tracestore.
+parameters + emitter version, :func:`~repro.engine.trace.
 kernel_fingerprint`), so two kernel instances alias only when their
 traces are provably identical — same-named kernels with different
 shapes never collide.
 
-Tiering: RAM hit → disk hit (mmap-load from the
-:class:`~repro.engine.tracestore.TraceStore`, zero copy) → generate,
-then persist to disk (when a store is attached) and promote into RAM.
-The RAM tier is bounded both in entries and in total column bytes;
-oversized traces are returned uncached rather than evicting the whole
-working set. The global cache attaches a disk tier automatically when
-``REPRO_TRACE_DIR`` is set.
+The cache lives in RAM only and is bounded both in entries and in
+total column bytes; oversized traces are returned uncached rather than
+evicting the whole working set. A trace too large to materialize
+bypasses the cache altogether: the exact engines stream it from the
+kernel's bounded emitter (``KernelModel.segments``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .stream import BatchTrace
-from .trace import KernelModel
-from .tracestore import TRACE_DIR_ENV, TraceStore, kernel_fingerprint
+from .trace import KernelModel, kernel_fingerprint
 
 #: Default bounds: a handful of kernel instances, capped well below
 #: the memory a single large trace costs to simulate anyway.
 DEFAULT_MAX_ENTRIES = 12
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
-#: Sentinel: resolve the disk tier lazily from ``REPRO_TRACE_DIR``.
-FROM_ENV = "env"
-
 
 class TraceCache:
-    """LRU cache of :meth:`KernelModel.exact_trace` results.
-
-    ``store`` attaches a disk tier: a :class:`TraceStore`, ``None``
-    (RAM only), or :data:`FROM_ENV` to consult ``REPRO_TRACE_DIR`` on
-    every miss (the global cache's mode, so tests and CLI runs can
-    flip the knob without rebuilding the cache).
-    """
+    """LRU cache of :meth:`KernelModel.exact_trace` results."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 max_bytes: int = DEFAULT_MAX_BYTES,
-                 store=None):
+                 max_bytes: int = DEFAULT_MAX_BYTES):
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._store = store
-        self._env_stores: Dict[str, TraceStore] = {}
         self._entries: "OrderedDict[Tuple, BatchTrace]" = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
 
     @staticmethod
     def _key(kernel: KernelModel) -> Tuple:
         # Content fingerprint, not (module, qualname, name): two
         # same-named kernels with different shape/seed parameters
-        # must never alias (regression-tested in test_tracestore.py).
+        # must never alias (regression-tested in test_engine_batch.py).
         return (kernel.name, kernel_fingerprint(kernel))
-
-    def _disk(self) -> Optional[TraceStore]:
-        store = self._store
-        if store is None or isinstance(store, TraceStore):
-            return store
-        root = os.environ.get(TRACE_DIR_ENV)
-        if not root:
-            return None
-        cached = self._env_stores.get(root)
-        if cached is None:
-            cached = self._env_stores[root] = TraceStore(root)
-        return cached
 
     def get(self, kernel: KernelModel) -> BatchTrace:
         """Return the kernel's batch trace, generating it on miss.
 
         Callers must treat the returned trace as immutable — it is
-        shared between all users of the same kernel instance shape
-        (and, via the disk tier, between processes).
+        shared between all users of the same kernel instance shape.
         """
         key = self._key(kernel)
         with self._lock:
@@ -102,17 +72,7 @@ class TraceCache:
                 self.hits += 1
                 return trace
             self.misses += 1
-        store = self._disk()
-        trace = None
-        if store is not None:
-            was_stored = store.contains(kernel)
-            entry = store.get_or_create(kernel)
-            if was_stored:
-                with self._lock:
-                    self.disk_hits += 1
-            trace = entry.load()  # mmap-backed, zero copy
-        if trace is None:
-            trace = kernel.exact_trace()
+        trace = kernel.exact_trace()
         if trace.nbytes > self.max_bytes:
             return trace  # too large to be worth caching in RAM
         with self._lock:
@@ -131,7 +91,6 @@ class TraceCache:
             self._bytes = 0
             self.hits = 0
             self.misses = 0
-            self.disk_hits = 0
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
@@ -140,13 +99,11 @@ class TraceCache:
                 "bytes": self._bytes,
                 "hits": self.hits,
                 "misses": self.misses,
-                "disk_hits": self.disk_hits,
             }
 
 
-#: Process-wide cache used by :func:`cached_exact_trace`; gains a disk
-#: tier whenever ``REPRO_TRACE_DIR`` is set in the environment.
-GLOBAL_TRACE_CACHE = TraceCache(store=FROM_ENV)
+#: Process-wide cache used by :func:`cached_exact_trace`.
+GLOBAL_TRACE_CACHE = TraceCache()
 
 
 def cached_exact_trace(kernel: KernelModel) -> BatchTrace:

@@ -21,15 +21,6 @@ class SimulationError(ReproError):
     """The hardware simulation reached an invalid internal state."""
 
 
-class TraceStoreError(ReproError):
-    """A problem with the on-disk columnar trace store."""
-
-
-class TraceCorruptionError(TraceStoreError):
-    """A stored trace failed validation (truncated, bit-flipped, or
-    stale manifest); the entry must never be returned as data."""
-
-
 class PrivilegeError(ReproError, PermissionError):
     """An operation required elevated privileges the caller lacks.
 

@@ -11,9 +11,8 @@ sampling period.
 
 :class:`SamplingObserver` reproduces that pipeline against the same
 columnar :class:`~repro.engine.stream.BatchTrace` segments the
-pipelined exact engine streams (``KernelModel.segments()`` /
-``StoredTrace.segments`` / the ``PipelinedExactEngine.segment_tap``
-hook):
+pipelined exact engine streams (``KernelModel.segments()`` / the
+``PipelinedExactEngine.segment_tap`` hook):
 
 * **Replay.** The observer advances a private
   :class:`~repro.machine.cache.CacheSim` over every row. This mirrors

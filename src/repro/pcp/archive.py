@@ -11,7 +11,7 @@ and a whole-file checksum), and a replay surface (:meth:`records`,
 ``SessionLogger`` exactly — so replaying an archive is byte-identical
 to having watched the live fetches.
 
-Durability follows the trace store's discipline:
+Durability rules:
 
 * every record line is ``"%08x %s\n" % (crc32(body), body)`` — a
   truncated or bit-flipped tail is *detected*, and recovery on

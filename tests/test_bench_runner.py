@@ -9,10 +9,13 @@ not-yet-started benchmarks still run to completion.
 """
 
 import textwrap
+import threading
+from concurrent.futures import process as futures_process
 
 import pytest
 
 from repro.bench import RunnerConfig, run_benchmarks
+from repro.bench import runner as runner_mod
 from repro.bench.registry import _REGISTRY, load_script
 from repro.errors import ConfigurationError
 
@@ -266,6 +269,40 @@ def test_worker_crash_is_isolated_and_queue_drains(
     assert by_name["runner-crashes"]["status"] == "crashed"
     assert by_name["runner-ok-4"]["status"] == "ok"
     assert by_name["runner-ok-5"]["status"] == "ok"
+
+
+def test_clean_run_shutdown_leaves_executor_thread_alive(
+    tmp_path, scratch_registry, monkeypatch
+):
+    # A clean run must let the executor's management thread finish
+    # replacing the last one-task worker before the pool is torn down;
+    # torn down under it, the thread dies with a TypeError ("Exception
+    # in thread ..."). The thread only gets that far while the
+    # executor is still referenced, so the test keeps every pool alive.
+    caught = []
+    monkeypatch.setattr(threading, "excepthook", caught.append)
+    pools = []
+    make_pool = runner_mod._make_pool
+
+    def kept_pool(ctx, workers):
+        pools.append(make_pool(ctx, workers))
+        return pools[-1]
+
+    monkeypatch.setattr(runner_mod, "_make_pool", kept_pool)
+    specs = _specs_from(
+        tmp_path, {"bench_a.py": OK_SCRIPT.format(n=11, value=1.0)}
+    )
+    for _ in range(3):
+        [record] = run_benchmarks(
+            specs, RunnerConfig(max_workers=1, timeout_s=60.0)
+        )
+        assert record["status"] == "ok"
+        for thread in threading.enumerate():
+            if isinstance(thread, futures_process._ExecutorManagerThread):
+                thread.join(timeout=10.0)
+    assert not caught, [
+        f"{args.exc_type.__name__}: {args.exc_value}" for args in caught
+    ]
 
 
 def test_resolved_workers_bounds():

@@ -10,7 +10,6 @@ env-knob plumbing and its precedence rules.
 """
 
 import json
-import os
 import warnings
 
 import pytest

@@ -20,6 +20,7 @@ from repro.engine.exact import ExactEngine
 from repro.engine.loopnest import AffineAccess, LoopNest
 from repro.engine.pipeline import PipelinedExactEngine
 from repro.engine.stream import BatchTrace
+from repro.engine.trace import kernel_fingerprint
 from repro.engine.tracecache import TraceCache, cached_exact_trace
 from repro.errors import SimulationError
 from repro.fft3d.decomp import LocalBlock
@@ -449,49 +450,45 @@ class TestExactTraceEmitters:
 
 
 # ----------------------------------------------------------------------
-# streamed-from-disk == in-RAM batch == scalar oracle
+# streamed segments == one-call batch == scalar oracle
 # ----------------------------------------------------------------------
-#: One representative per kernel family (DESIGN.md §6.2): the chunked
-#: disk-streaming path must agree with the in-RAM batch engine and the
-#: scalar oracle on every emitter shape, including bypassed stores.
-STORE_KERNELS = [
+DUP_ARRAYS_NEST = LoopNest(
+    name="nest-dup-arrays",
+    bounds=(5, 4, 3),
+    accesses=[
+        AffineAccess("A", coeffs=(4, 0, 1)),
+        AffineAccess("A", coeffs=(0, 3, 1), offset=2),
+        AffineAccess("B", coeffs=(0, 1, 4), is_write=True,
+                     elem_bytes=4),
+    ],
+)
+
+#: One representative per kernel family: the segment-streamed paths
+#: must agree with the one-call batch engine and the scalar oracle on
+#: every emitter shape, including bypassed stores.
+SEGMENT_KERNELS = [
     Dot(777),
     Gemm(10),
     CappedGemv(m=9, n=7, p=3),
     StreamKernel(op="triad", n=500),
     SpmvKernel(random_csr(40, 5, seed=1)),
-    LoopNest(
-        name="nest-dup-arrays",
-        bounds=(5, 4, 3),
-        accesses=[
-            AffineAccess("A", coeffs=(4, 0, 1)),
-            AffineAccess("A", coeffs=(0, 3, 1), offset=2),
-            AffineAccess("B", coeffs=(0, 1, 4), is_write=True,
-                         elem_bytes=4),
-        ],
-    ),
+    DUP_ARRAYS_NEST,
     S2CF(BLOCK),
 ]
 
 
-class TestStoredTraceDifferential:
+class TestStreamedTraceDifferential:
     @pytest.mark.parametrize(
-        "kernel", STORE_KERNELS, ids=lambda k: k.name)
-    def test_streamed_from_disk_matches_oracle(self, kernel, tmp_path,
-                                               monkeypatch):
-        from repro.engine.tracestore import TraceStore
-
-        store = TraceStore(tmp_path / "store", verify="full")
-        entry = store.get_or_create(kernel)
-
+        "kernel", SEGMENT_KERNELS, ids=lambda k: k.name)
+    def test_streamed_segments_match_oracle(self, kernel, monkeypatch):
         scalar = ExactEngine(SMALL).run_nest(
             kernel.streams(), kernel.exact_accesses())
         batch = ExactEngine(SMALL).run_nest(
             kernel.streams(), kernel.exact_trace())
         # Tiny segments force many of them even on small traces.
         monkeypatch.setenv(SEGMENT_ROWS_ENV, "257")
-        streamed = ExactEngine(SMALL).run_nest(kernel.streams(), entry)
-        entry.close()
+        streamed = ExactEngine(SMALL).run_nest(
+            kernel.streams(), kernel.exact_trace())
         assert (streamed.read_bytes, streamed.write_bytes) == \
             (batch.read_bytes, batch.write_bytes) == \
             (scalar.read_bytes, scalar.write_bytes)
@@ -499,18 +496,13 @@ class TestStoredTraceDifferential:
     @pytest.mark.parametrize(
         "kernel", [Gemm(10), StreamKernel(op="triad", n=500)],
         ids=lambda k: k.name)
-    def test_sharded_from_disk_matches_batch(self, kernel, tmp_path):
-        from repro.engine.tracestore import TraceStore
-
-        store = TraceStore(tmp_path / "store", verify="full")
-        entry = store.get_or_create(kernel)
+    def test_sharded_from_kernel_matches_batch(self, kernel):
         ref = ExactEngine(SMALL).run_nest(
             kernel.streams(), kernel.exact_trace())
         with PipelinedExactEngine(SMALL, n_workers=2,
                                   segment_rows=509) as eng:
-            got = eng.run_nest(kernel.streams(), entry)
+            got = eng.run_nest(kernel.streams(), kernel)
         assert eng.last_pipeline_stats["segments"] > 1
-        entry.close()
         assert (got.read_bytes, got.write_bytes) == \
             (ref.read_bytes, ref.write_bytes)
 
@@ -552,3 +544,43 @@ class TestTraceCache:
         trace = cached_exact_trace(Gemm(4))
         assert isinstance(trace, BatchTrace)
         assert cached_exact_trace(Gemm(4)) is trace
+
+
+# ----------------------------------------------------------------------
+# keying: same-named kernels with different shapes never collide
+# ----------------------------------------------------------------------
+def _nest(bounds):
+    return LoopNest(name="same-name", bounds=bounds,
+                    accesses=[AffineAccess("A", coeffs=(1,) * len(bounds))])
+
+
+class TestKeying:
+    def test_same_name_different_shape_distinct_fingerprints(self):
+        assert kernel_fingerprint(_nest((4, 4))) != \
+            kernel_fingerprint(_nest((8, 3)))
+        # Same shape, fresh instances: stable.
+        assert kernel_fingerprint(_nest((4, 4))) == \
+            kernel_fingerprint(_nest((4, 4)))
+
+    def test_ram_cache_does_not_alias_same_named_kernels(self):
+        cache = TraceCache()
+        a = cache.get(_nest((4, 4)))
+        b = cache.get(_nest((8, 3)))
+        assert a is not b
+        assert len(a) != len(b)
+        assert cache.misses == 2
+        # And the hit path still works per shape.
+        assert cache.get(_nest((4, 4))) is a
+
+    @pytest.mark.parametrize("kernel, digest", [
+        (Gemm(8), "ffddcc4d71cbed5bce4c4687d902e7af"
+                  "c5c4663e2322cf7dadf87bc35080a9b5"),
+        (DUP_ARRAYS_NEST, "55a814e822d268d4e14b2f73a6660a92"
+                          "af5068c7efff423d8dc25b3664379b66"),
+        (S2CF(BLOCK), "407bc4b160b2d6500ad6a7f9561923106"
+                      "f40e913206bf9b2c3f9ef09b74afb79"),
+    ], ids=["gemm-8", "loopnest", "s2cf"])
+    def test_fingerprints_are_pinned(self, kernel, digest):
+        # The digest names RAM cache entries and every run_many
+        # checkpoint on disk: a change to it orphans saved checkpoints.
+        assert kernel_fingerprint(kernel) == digest

@@ -188,19 +188,6 @@ class TestPooledPipeline:
         for traffic, ref in zip(results, refs):
             assert (traffic.read_bytes, traffic.write_bytes) == ref[:2]
 
-    def test_stored_trace_source(self, tmp_path):
-        from repro.engine.tracestore import TraceStore
-
-        kernel = Gemm(10)
-        store = TraceStore(tmp_path / "store", verify="full")
-        entry = store.get_or_create(kernel)
-        ref = batch_reference(kernel)
-        with PipelinedExactEngine(SMALL, n_workers=2,
-                                  segment_rows=257) as eng:
-            traffic = eng.run_nest(kernel.streams(), entry)
-        entry.close()
-        assert pipelined_state(eng, traffic) == ref
-
     def test_pipeline_stats_recorded(self):
         with PipelinedExactEngine(SMALL, n_workers=2,
                                   segment_rows=101) as eng:
@@ -467,26 +454,21 @@ class TestEnvKnobs:
         with pytest.raises(SimulationError):
             PipelinedExactEngine(SMALL, ring_depth=0)
 
-    def test_segment_env_flows_into_exact_engine(self, monkeypatch,
-                                                 tmp_path):
-        from repro.engine.tracestore import TraceStore
-
+    def test_segment_env_flows_into_exact_engine(self, monkeypatch):
         kernel = Dot(512)
-        store = TraceStore(tmp_path / "s", verify="full")
-        entry = store.get_or_create(kernel)
+        trace = kernel.exact_trace()
         ref = batch_reference(kernel)
         monkeypatch.setenv(SEGMENT_ROWS_ENV, "junk")
-        for source in (entry, kernel.exact_trace()):
-            with pytest.raises(SimulationError, match=SEGMENT_ROWS_ENV):
-                ExactEngine(SMALL).run_nest(kernel.streams(), source)
+        with pytest.raises(SimulationError, match=SEGMENT_ROWS_ENV):
+            ExactEngine(SMALL).run_nest(kernel.streams(), trace)
+        with pytest.raises(SimulationError, match=SEGMENT_ROWS_ENV):
+            list(kernel.segments())
         monkeypatch.setenv(SEGMENT_ROWS_ENV, "100")
-        assert len(list(entry.segments())) == 11  # 1,024 rows
-        for source in (entry, kernel.exact_trace()):
-            eng = ExactEngine(SMALL)
-            traffic = eng.run_nest(kernel.streams(), source)
-            assert (traffic.read_bytes, traffic.write_bytes,
-                    eng.sim.stats_hits, eng.sim.stats_misses) == ref
-        entry.close()
+        assert len(list(kernel.segments())) == 11  # 1,024 rows
+        eng = ExactEngine(SMALL)
+        traffic = eng.run_nest(kernel.streams(), trace)
+        assert (traffic.read_bytes, traffic.write_bytes,
+                eng.sim.stats_hits, eng.sim.stats_misses) == ref
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,6 @@ Short windows keep the suite fast; the CI nightly smoke runs the
 full-scale version (256 contexts, 60 s, 10k/s floor).
 """
 
-import pytest
-
 from repro.pcp.load import (
     LATENCY_BUCKETS_USEC,
     healthy,

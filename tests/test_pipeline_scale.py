@@ -1,4 +1,11 @@
-"""Nightly scale validation: a billion-access multi-kernel pipelined run.
+"""Nightly scale validation of the streaming exact engine.
+
+GEMM N=512 (~270M accesses, ~4 GB of trace columns) streams from its
+bounded emitter through ``PipelinedExactEngine`` twice in a helper
+subprocess, inline and through a two-worker pool. The parent asserts
+the two runs agree byte-for-byte, both cross-validate the analytic law
+within the usual 2%, and peak RSS (workers included) stayed far below
+the trace's column footprint.
 
 Three kernel families (~1.02B total accesses — GEMM N=512, STREAM
 triad over 1e8 doubles, and a capped GEMV) flow through
@@ -19,6 +26,36 @@ import sys
 from pathlib import Path
 
 import pytest
+
+_GEMM_HELPER = r"""
+import json, resource, sys
+
+from repro.engine.analytic import CacheContext
+from repro.engine.pipeline import PipelinedExactEngine
+from repro.kernels.blas import Gemm
+from repro.machine.config import CacheConfig
+from repro.units import MIB
+
+kernel = Gemm(int(sys.argv[1]))
+cache = CacheConfig(capacity_bytes=4 * MIB)
+
+runs, rows = {}, {}
+for mode, n_workers in (("inline", 0), ("pooled", 2)):
+    with PipelinedExactEngine(cache, n_workers=n_workers) as engine:
+        traffic = engine.run_kernel(kernel)
+    runs[mode] = [traffic.read_bytes, traffic.write_bytes]
+    rows[mode] = engine.last_pipeline_stats["rows"]
+analytic = kernel.traffic(CacheContext(capacity_bytes=4 * MIB))
+
+usage = resource.getrusage(resource.RUSAGE_SELF)
+children = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({
+    "runs": runs,
+    "rows": rows,
+    "analytic": [analytic.read_bytes, analytic.write_bytes],
+    "peak_rss_kb": max(usage.ru_maxrss, children.ru_maxrss),
+}))
+"""
 
 _HELPER = r"""
 import json, resource, sys
@@ -98,19 +135,48 @@ print(json.dumps({
 """
 
 
-@pytest.mark.slow
-def test_billion_access_pipelined_run_resumes_bounded_rss(tmp_path):
+def _run_helper(script, *args):
+    """Run ``script`` in a fresh interpreter; return its JSON report."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{src}{os.pathsep}" + env.get("PYTHONPATH", "")
-    trace_out = tmp_path / "tuning-trace.json"
     proc = subprocess.run(
-        [sys.executable, "-c", _HELPER, str(tmp_path / "ckpt"),
-         str(trace_out)],
+        [sys.executable, "-c", script, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=3600,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.slow
+def test_gemm_512_streams_from_emitter_bounded_rss():
+    report = _run_helper(_GEMM_HELPER, 512)
+
+    # Inline and pooled streaming must agree exactly, and
+    # cross-validate the analytic law like the in-RAM N=256 test does.
+    assert report["runs"]["inline"] == report["runs"]["pooled"]
+    for got in report["runs"].values():
+        for value, want in zip(got, report["analytic"]):
+            assert want == pytest.approx(value, rel=0.02)
+
+    # Peak RSS bounded far below the ~4 GB column footprint (segments,
+    # the ring and sector-expansion temporaries only). Trace bytes are
+    # the BatchTrace columns: 8 + 4 + 2 + 1 bytes per row.
+    rows = report["rows"]["inline"]
+    assert report["rows"]["pooled"] == rows
+    trace_mb = rows * 15 / 1e6
+    rss_mb = report["peak_rss_kb"] / 1e3
+    assert rows > 100_000_000
+    assert trace_mb > 3000
+    assert rss_mb < trace_mb / 3, (
+        f"peak RSS {rss_mb:.0f} MB not bounded vs {trace_mb:.0f} MB trace")
+    assert rss_mb < 1300
+
+
+@pytest.mark.slow
+def test_billion_access_pipelined_run_resumes_bounded_rss(tmp_path):
+    trace_out = tmp_path / "tuning-trace.json"
+    report = _run_helper(_HELPER, tmp_path / "ckpt", trace_out)
 
     # The scenario the test exists for: a genuinely large multi-kernel
     # run, a mid-flight fault, and a checkpoint-driven resume.
