@@ -21,13 +21,15 @@ object that tunes the gate. Comparison rules:
 * peak RSS is reported but gates only when ``rss_rel`` is set.
 
 New benchmarks (present now, absent from the baseline) are reported
-as notes, never failures — growth must not be penalised.
+as notes, never failures — growth must not be penalised. A run narrowed
+to some benchmarks (``bench --tag``/``--filter``) is compared only on
+the baseline benchmarks it selected; the rest are noted as skipped.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 #: Metric-name suffixes treated as "lower is better" deviations.
 DEVIATION_SUFFIXES = ("_dev", "_err", "_gap", "_excess")
@@ -121,8 +123,14 @@ def compare_reports(
     current: Dict,
     baseline: Dict,
     thresholds: Optional[Thresholds] = None,
+    selected: Optional[Collection[str]] = None,
 ) -> ComparisonResult:
-    """Gate ``current`` against ``baseline``; collect regressions."""
+    """Gate ``current`` against ``baseline``; collect regressions.
+
+    ``selected`` names the baseline benchmarks the run was asked for
+    (None: all of them). The others are skipped with a note; a selected
+    one absent from the run is still ``missing``.
+    """
     if thresholds is None:
         thresholds = resolve_thresholds(baseline)
     scale = (
@@ -134,6 +142,14 @@ def compare_reports(
     base_by_name = {r["name"]: r for r in baseline["benchmarks"]}
     regressions: List[Regression] = []
     notes: List[str] = []
+    if selected is not None:
+        skipped = sorted(set(base_by_name) - set(selected))
+        if skipped:
+            notes.append(
+                f"{len(skipped)} baseline benchmark(s) outside this "
+                f"run's selection, not compared: {', '.join(skipped)}"
+            )
+        base_by_name = {n: r for n, r in base_by_name.items() if n in selected}
     for name in sorted(base_by_name):
         base = base_by_name[name]
         cur = cur_by_name.get(name)

@@ -153,11 +153,9 @@ class CounterAnalysisToolkit:
     # ------------------------------------------------------------------
     def _measure_per_event(self, probe, events, socket_id: int,
                            repetitions: int) -> Dict[str, int]:
-        es = self.session._make_eventset(socket_id)
-        es.start()
-        self.session.executor.run(probe, socket_id=socket_id,
-                                  repetitions=repetitions)
-        values = es.stop_dict()
+        with self.session.counting(socket_id) as values:
+            self.session.executor.run(probe, socket_id=socket_id,
+                                      repetitions=repetitions)
         return {e: values[e] // repetitions for e in events}
 
     def _classify(self, results: List[ProbeResult],

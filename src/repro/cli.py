@@ -621,11 +621,12 @@ def _run_bench(argv: List[str]) -> int:
     args = build_bench_parser().parse_args(argv)
     bench_dir = Path(args.bench_dir) if args.bench_dir \
         else _default_bench_dir()
-    specs = discover(bench_dir)
-    if args.name_filter:
-        specs = [s for s in specs if args.name_filter in s.name]
-    if args.tag:
-        specs = [s for s in specs if args.tag in s.tags]
+
+    def wanted(name: str, tags) -> bool:
+        return ((not args.name_filter or args.name_filter in name)
+                and (not args.tag or args.tag in tags))
+
+    specs = [s for s in discover(bench_dir) if wanted(s.name, s.tags)]
     if not specs:
         print(f"no benchmarks matched under {bench_dir}", file=sys.stderr)
         return 2
@@ -670,7 +671,12 @@ def _run_bench(argv: List[str]) -> int:
     if args.compare:
         baseline = load_report(args.compare)
         thresholds = resolve_thresholds(baseline, overrides)
-        comparison = compare_reports(report, baseline, thresholds)
+        # A --tag/--filter run is compared only on the baseline
+        # benchmarks that the same filter selects.
+        comparison = compare_reports(
+            report, baseline, thresholds,
+            selected=[r["name"] for r in baseline["benchmarks"]
+                      if wanted(r["name"], r["tags"])])
         print(format_comparison(comparison))
         if not comparison.ok and args.fail_on_regression:
             exit_code = exit_code or 1

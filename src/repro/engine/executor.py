@@ -13,7 +13,9 @@ state that the PAPI components observe. Running a kernel
 
 All repetitions of a run are drawn, recorded and clocked at once, with
 the values and generator state of running them one by one (DESIGN.md
-§6.7).
+§6.7). The noise-free part of a run, its :class:`RunModel`, depends
+only on the kernel and the socket's configuration, so runs on sockets
+of one machine configuration may share one (the 3D-FFT phases do).
 
 Batched kernels (one independent instance per core, the paper's
 "batched GEMM/GEMV") are expressed with ``n_cores > 1``.
@@ -22,6 +24,7 @@ Batched kernels (one independent instance per core, the paper's
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +34,16 @@ from ..machine.node import Node
 from ..machine.prefetch import SoftwarePrefetch
 from .analytic import CacheContext
 from .trace import KernelModel
+
+
+@dataclasses.dataclass(frozen=True)
+class RunModel:
+    """The noise-free model of one repetition of a run."""
+
+    #: Analytic traffic of one repetition across all cores.
+    true_traffic: TrafficCounters
+    #: Simulated runtime of one repetition (seconds).
+    runtime_per_rep: float
 
 
 @dataclasses.dataclass
@@ -84,12 +97,41 @@ class Executor:
         )
 
     # ------------------------------------------------------------------
+    def model(self, kernel: KernelModel, socket_id: int = 0,
+              n_cores: int = 1,
+              prefetch: SoftwarePrefetch = SoftwarePrefetch(),
+              assume_socket_busy: bool = False) -> RunModel:
+        """The analytic traffic and roofline runtime of one repetition
+        of ``kernel`` on ``n_cores`` cores (see :meth:`run`)."""
+        cores = self._cores(socket_id, n_cores)
+        ctx = self.cache_context(socket_id, n_cores,
+                                 kernel.footprint_bytes(),
+                                 assume_socket_busy=assume_socket_busy)
+        per_core = kernel.traffic(ctx, prefetch)
+        efficiency = max(1e-3, kernel.bandwidth_efficiency(prefetch))
+        runtime = cores[0].estimate_runtime(
+            kernel.flops(), per_core.total_bytes / efficiency,
+            active_cores_on_socket=n_cores,
+        )
+        return RunModel(per_core.scaled(n_cores), runtime)
+
+    def _cores(self, socket_id: int, n_cores: int) -> list:
+        usable = self.node.socket(socket_id).usable_cores
+        if n_cores < 1 or n_cores > len(usable):
+            raise ConfigurationError(
+                f"n_cores={n_cores} not in 1..{len(usable)} for socket "
+                f"{socket_id} of {self.node.config.name}"
+            )
+        return usable[:n_cores]
+
+    # ------------------------------------------------------------------
     def run(self, kernel: KernelModel, socket_id: int = 0, n_cores: int = 1,
             repetitions: int = 1,
             prefetch: SoftwarePrefetch = SoftwarePrefetch(),
             noisy: bool = True, background: bool = True,
             assume_socket_busy: bool = False,
             advance_clock: bool = True,
+            model: Optional[RunModel] = None,
             ) -> ExecutionRecord:
         """Execute ``kernel`` ``repetitions`` times on ``n_cores`` cores.
 
@@ -98,31 +140,24 @@ class Executor:
         assumed per repetition (the paper uses a different matrix per
         repetition precisely so no data is cached between repetitions),
         so every repetition pays full cold traffic.
+
+        ``model`` stands in for the run's own :meth:`model`, which is
+        all that ``prefetch`` and ``assume_socket_busy`` feed; it must
+        be one of the same kernel and core count on a socket of the
+        same configuration.
         """
-        sock = self.node.socket(socket_id)
-        usable = sock.usable_cores
-        if n_cores < 1 or n_cores > len(usable):
-            raise ConfigurationError(
-                f"n_cores={n_cores} not in 1..{len(usable)} for socket "
-                f"{socket_id} of {self.node.config.name}"
-            )
+        cores = self._cores(socket_id, n_cores)
         if repetitions < 1:
             raise ConfigurationError(
                 f"repetitions={repetitions} must be >= 1")
-        cores = usable[:n_cores]
+        if model is None:
+            model = self.model(kernel, socket_id, n_cores, prefetch,
+                               assume_socket_busy)
+        sock = self.node.socket(socket_id)
+        true_one_rep, runtime = model.true_traffic, model.runtime_per_rep
         for c in cores:
             c.mark_busy(True)
         try:
-            ctx = self.cache_context(socket_id, n_cores,
-                                     kernel.footprint_bytes(),
-                                     assume_socket_busy=assume_socket_busy)
-            per_core = kernel.traffic(ctx, prefetch)
-            true_one_rep = per_core.scaled(n_cores)
-            efficiency = max(1e-3, kernel.bandwidth_efficiency(prefetch))
-            runtime = cores[0].estimate_runtime(
-                kernel.flops(), per_core.total_bytes / efficiency,
-                active_cores_on_socket=n_cores,
-            )
             step_background = background and noisy
             drawn = None
             if noisy:

@@ -85,6 +85,9 @@ class FFT3DApp:
         self.compiler = compile_kernel(compiler_flags)
         self.seed = seed
         self._executors = [Executor(node) for node in self.cluster.nodes]
+        # The resort phases share one run model across ranks, which
+        # holds only while every node has this one configuration.
+        assert all(node.config is machine for node in self.cluster.nodes)
         #: Per-phase, per-rank traffic records (filled while running).
         self.records: List[RankTraffic] = []
 
@@ -111,19 +114,21 @@ class FFT3DApp:
     # is recorded per rank, then every clock advances together once)
     # ------------------------------------------------------------------
     def _run_resort_slice(self, spec: PhaseSpec, sub: LocalBlock) -> None:
-        kernel_cls = ROUTINES[spec.routine]
-        duration = 0.0
+        kernel = ROUTINES[spec.routine](sub, seed=self.seed)
+        # Every socket of the cluster has one configuration, and
+        # assume_socket_busy fixes the effective core count, so one
+        # model serves every rank; each rank still draws its own noise.
+        model = self._executors[0].model(
+            kernel, prefetch=self.compiler.prefetch, assume_socket_busy=True)
         before: Dict[int, TrafficCounters] = {}
         for rank in range(self.comm.size):
             placement = self.comm.placements[rank]
-            kernel = kernel_cls(sub, seed=self.seed)
             record = self._executor_of(rank).run(
                 kernel, socket_id=placement.socket_id, n_cores=1,
-                prefetch=self.compiler.prefetch, noisy=True,
-                assume_socket_busy=True, advance_clock=False,
+                noisy=True, advance_clock=False, model=model,
             )
-            duration = max(duration, record.runtime_per_rep)
             before[rank] = record.recorded_traffic
+        duration = model.runtime_per_rep
         self.cluster.advance_all(duration)
         for rank, traffic in before.items():
             self.records.append(RankTraffic(

@@ -14,12 +14,17 @@ start the event set, run the kernel ``repetitions`` times back to
 back, stop, and average — reporting measured alongside expected
 traffic. All noise enters through the same counter path a real
 measurement would see.
+
+Each socket's event set is opened once per session and reused; what
+opening it again would cost the simulated machine is charged instead
+(:meth:`MeasurementSession.counting`, DESIGN.md §7).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-from typing import Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 from ..engine.executor import Executor
 from ..errors import ConfigurationError
@@ -28,6 +33,7 @@ from ..machine.cache import TrafficCounters
 from ..machine.config import MachineConfig, get_machine
 from ..machine.node import Node
 from ..noise import NoiseConfig
+from ..papi.eventset import EventSet
 from ..papi.papi import Papi, library_init
 from ..pcp.pmcd import start_pmcd_for_node
 from ..pmu.events import all_pcp_events, all_uncore_events
@@ -75,7 +81,22 @@ class MeasurementResult:
 
 
 class MeasurementSession:
-    """One machine set up for repeated kernel measurements."""
+    """One machine set up for repeated kernel measurements.
+
+    Each socket's 16 nest events form one EventSet, opened by the first
+    measurement on that socket and reused by every later one. Opening
+    events through PCP costs daemon round trips, and those are part of
+    the simulation: each advances the node clock, drawing background
+    traffic. So each reuse charges, before ``start()``, the round trips
+    a rebuild would have made, and every count, clock and generator
+    ends as if each measurement had opened its own set. Direct uncore
+    opens cost nothing, so the uncore path charges nothing. The daemon
+    counts only the requests it serves (DESIGN.md §7).
+
+    A measurement that fails once counting has begun drops the set, and
+    so does a change of the daemon's state (a restart, a new agent, a
+    stop): the next measurement then opens the set anew.
+    """
 
     def __init__(self, machine: Union[str, MachineConfig] = "summit",
                  via: Optional[str] = None, seed: Optional[int] = None,
@@ -95,6 +116,10 @@ class MeasurementSession:
             raise ConfigurationError(
                 f"via must be {VIA_PCP!r} or {VIA_PERF_UNCORE!r}, got {via!r}")
         self.via = via
+        #: socket id -> that socket's nest EventSet, opened on first use.
+        self._eventsets: Dict[int, EventSet] = {}
+        #: The daemon state the cached PCP sets were validated against.
+        self._daemon_state: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     def nest_event_names(self, socket_id: int = 0) -> list:
@@ -106,10 +131,38 @@ class MeasurementSession:
         return all_uncore_events(self.machine,
                                  cpu=socket_id * threads_per_socket)
 
-    def _make_eventset(self, socket_id: int):
-        es = self.papi.create_eventset()
-        es.add_events(self.nest_event_names(socket_id))
+    def _eventset(self, socket_id: int) -> EventSet:
+        if self.via == VIA_PCP:
+            state = (self.pmcd.running, self.pmcd.generation)
+            if state != self._daemon_state:
+                self._eventsets.clear()
+                self._daemon_state = state
+        es = self._eventsets.get(socket_id)
+        if es is None:
+            es = self.papi.create_eventset()
+            es.add_events(self.nest_event_names(socket_id))
+            self._eventsets[socket_id] = es
+        else:
+            es.charge_reopen()
         return es
+
+    @contextlib.contextmanager
+    def counting(self, socket_id: int = 0) -> Iterator[Dict[str, int]]:
+        """Count the socket's 16 nest events over a ``with`` block.
+
+        Starts the socket's event set on entry and stops it on exit;
+        the yielded dict then maps each event name to its count.
+        """
+        es = self._eventset(socket_id)
+        counts: Dict[str, int] = {}
+        try:
+            es.start()
+            yield counts
+            counts.update(es.stop_dict())
+        except BaseException:
+            # A set left running would refuse the next start().
+            self._eventsets.pop(socket_id, None)
+            raise
 
     # ------------------------------------------------------------------
     def measure_kernel(self, kernel, n_cores: int = 1, repetitions: int = 1,
@@ -125,20 +178,20 @@ class MeasurementSession:
         if repetitions < 1:
             raise ConfigurationError("repetitions must be >= 1")
         compiler = compiler or compile_kernel()
-        es = self._make_eventset(socket_id)
-        sock = self.node.socket(socket_id)
-        es.start()
-        if noisy:
-            # Fixed per-window traffic (harness setup, page-table churn)
-            # lands INSIDE the measurement window, after the start read.
-            fixed = self.node.noise_model(socket_id).window_fixed_traffic()
-            sock.record_traffic(fixed.read_bytes, fixed.write_bytes)
-        record = self.executor.run(
-            kernel, socket_id=socket_id, n_cores=n_cores,
-            repetitions=repetitions, prefetch=compiler.prefetch,
-            noisy=noisy, assume_socket_busy=assume_socket_busy,
-        )
-        values = es.stop_dict()
+        with self.counting(socket_id) as values:
+            if noisy:
+                # Fixed per-window traffic (harness setup, page-table
+                # churn) lands INSIDE the measurement window, after the
+                # start read.
+                fixed = self.node.noise_model(
+                    socket_id).window_fixed_traffic()
+                self.node.socket(socket_id).record_traffic(
+                    fixed.read_bytes, fixed.write_bytes)
+            record = self.executor.run(
+                kernel, socket_id=socket_id, n_cores=n_cores,
+                repetitions=repetitions, prefetch=compiler.prefetch,
+                noisy=noisy, assume_socket_busy=assume_socket_busy,
+            )
         read = sum(v for k, v in values.items() if "READ" in k)
         write = sum(v for k, v in values.items() if "WRITE" in k)
         measured = TrafficCounters(

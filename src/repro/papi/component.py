@@ -10,7 +10,8 @@ defines that interface for the simulation:
   returns the raw counter value. ``instantaneous`` marks gauge-style
   events (NVML power) that report levels rather than monotonic counts.
 * :class:`Component` — enumerates, parses and opens native events; may
-  declare a per-access read latency charged to the node clock.
+  declare a per-access read latency charged to the node clock, and
+  what opening an event costs the simulated machine.
 * :class:`ComponentRegistry` — name → component lookup plus resolution
   of fully-qualified event names (``cmp:::event``).
 """
@@ -70,6 +71,10 @@ class Component(abc.ABC):
     def is_available(self) -> Tuple[bool, str]:
         """(available?, reason-if-not) — papi_component_avail style."""
         return True, ""
+
+    def charge_reopen(self, handles: List[NativeEventHandle]) -> None:
+        """Charge the simulated cost of opening ``handles`` again,
+        without opening them. Opening costs nothing by default."""
 
     def read_events(self, handles: List[NativeEventHandle]) -> List[int]:
         """Read several events at once.

@@ -19,6 +19,7 @@ two paths.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Tuple
 
 from ...errors import PapiNoEvent, PCPError
@@ -27,6 +28,15 @@ from ...pcp.session import PcpSession
 from ..component import Component, NativeEventHandle
 from ..consts import COMPONENT_DELIMITER
 from ...pmu.events import socket_instance_cpu
+
+
+@dataclasses.dataclass
+class PCPEventHandle(NativeEventHandle):
+    """An opened PCP event, with its name resolved once at open."""
+
+    metric: str = ""
+    instance: str = ""
+    pmid: int = -1
 
 
 class PCPComponent(Component):
@@ -42,8 +52,6 @@ class PCPComponent(Component):
     def __init__(self, context: PcpSession, node: Node):
         self.context = context
         self.node = node
-        #: metric name -> pmid, filled lazily on open.
-        self._pmid_cache: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def list_events(self) -> List[str]:
@@ -86,44 +94,44 @@ class PCPComponent(Component):
             )
         return metric, instance
 
-    def open_event(self, name: str) -> NativeEventHandle:
+    def open_event(self, name: str) -> PCPEventHandle:
+        """Resolve the metric (one lookup round trip) and check that the
+        instance exists (one fetch round trip), so add_event fails fast."""
         metric, instance = self.parse_event(name)
         try:
             pmid = self.context.lookup_names([metric])[0]
         except PCPError as exc:
             raise PapiNoEvent(str(exc)) from exc
-        # Validate the instance exists now, so add_event fails fast.
         values = self.context.fetch([pmid])[pmid]
         if instance not in values:
             raise PapiNoEvent(
                 f"metric {metric!r} has no instance {instance!r}; "
                 f"available: {sorted(values)}"
             )
-        self._pmid_cache[metric] = pmid
 
         def reader() -> int:
             return self.context.fetch_one(metric, instance)
 
-        return NativeEventHandle(
-            name=name, reader=reader, component=self, units="bytes")
+        return PCPEventHandle(
+            name=name, reader=reader, component=self, units="bytes",
+            metric=metric, instance=instance, pmid=pmid)
+
+    def charge_reopen(self, handles: List[PCPEventHandle]) -> None:
+        """Charge the round trips :meth:`open_event` makes for each
+        handle, a name lookup and an instance-validation fetch, without
+        making them (see :meth:`PcpSession.charge`)."""
+        self.context.charge([(h.metric, h.pmid) for h in handles],
+                            fetches=len(handles))
 
     # ------------------------------------------------------------------
-    def read_events(self, handles: List[NativeEventHandle]) -> List[int]:
+    def read_events(self, handles: List[PCPEventHandle]) -> List[int]:
         """Batched read: ONE pmFetch (one round trip) for all events."""
-        parsed = [self.parse_event(h.name) for h in handles]
-        pmids = []
-        for metric, _ in parsed:
-            pmid = self._pmid_cache.get(metric)
-            if pmid is None:
-                pmid = self.context.lookup_names([metric])[0]
-                self._pmid_cache[metric] = pmid
-            pmids.append(pmid)
-        fetched = self.context.fetch(pmids)
+        fetched = self.context.fetch([h.pmid for h in handles])
         out = []
-        for (metric, instance), pmid in zip(parsed, pmids):
-            values = fetched[pmid]
-            if instance not in values:
+        for h in handles:
+            values = fetched[h.pmid]
+            if h.instance not in values:
                 raise PapiNoEvent(
-                    f"metric {metric!r} lost instance {instance!r}")
-            out.append(values[instance])
+                    f"metric {h.metric!r} lost instance {h.instance!r}")
+            out.append(values[h.instance])
         return out

@@ -82,6 +82,15 @@ class EventSet:
         for name in names:
             self.add_event(name)
 
+    def charge_reopen(self) -> None:
+        """Charge what adding this set's events anew would cost the
+        simulated machine, and keep the set as it is: reusing a set
+        then leaves the machine as rebuilding it would."""
+        if self.running:
+            raise PapiIsRunning("cannot re-add events while counting")
+        if self._component is not None:
+            self._component.charge_reopen(self._handles)
+
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin counting: snapshot current raw values."""

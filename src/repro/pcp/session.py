@@ -158,6 +158,32 @@ class PcpSession(_SessionState):
         if self.node is not None and self.pmcd.round_trip_seconds > 0:
             self.node.advance(self.pmcd.round_trip_seconds)
 
+    def charge(self, lookups: Sequence[Tuple[str, int]] = (),
+               fetches: int = 0) -> None:
+        """Account for requests without sending them.
+
+        Charges ``lookup_names([name])`` for each ``(name, pmid)`` of
+        ``lookups``, plus ``fetches`` fetches. A lookup that
+        ``cache_lookups`` would serve counts in ``cached_lookups``; any
+        other lookup fills the cache, as a sent one does. The rest are
+        round trips: they count in ``round_trips`` and advance the
+        clock in one :meth:`Node.advance_steps`, which ends as that
+        many single round trips would. The daemon serves nothing, so
+        its own counters (``pmcd.*``) do not move.
+        """
+        trips = fetches
+        for name, pmid in lookups:
+            if self.cache_lookups and name in self._lookup_cache:
+                self.cached_lookups += 1
+            else:
+                trips += 1
+                self._lookup_cache[name] = pmid
+        if trips < 1:
+            return
+        self.round_trips += trips
+        if self.node is not None and self.pmcd.round_trip_seconds > 0:
+            self.node.advance_steps(self.pmcd.round_trip_seconds, trips)
+
     # ------------------------------------------------------------------
     def handshake(self) -> int:
         """Negotiate the protocol version (one round trip).

@@ -85,6 +85,31 @@ def test_bench_compare_tightened_baseline_fails(bench_env, capsys):
     assert main(argv + ["--no-fail-on-regression"]) == 0
 
 
+def test_bench_narrowed_compare_skips_unselected(bench_env, capsys):
+    """A --tag run is gated only on the baseline benchmarks it selected:
+    one under another tag is noted, one under its tag that no longer
+    runs is still missing."""
+    baseline = json.loads(bench_env["baseline"].read_text())
+    [tiny] = baseline["benchmarks"]
+    path = bench_env["root"] / "wider.json"
+
+    def write(*records):
+        baseline["benchmarks"] = list(records)
+        baseline["summary"].update(total=len(records), ok=len(records))
+        path.write_text(json.dumps(baseline))
+
+    write(tiny, dict(tiny, name="other-tag", tags=["engine"]))
+    argv = ["bench", "--bench-dir", str(bench_env["dir"]), "--no-report",
+            "--jobs", "1", "--tag", "selftest", "--compare", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "not compared: other-tag" in out
+    assert "no regressions" in out
+    write(tiny, dict(tiny, name="cli-gone"))
+    assert main(argv) == 1
+    assert "[missing] cli-gone" in capsys.readouterr().out
+
+
 def test_bench_json_output_is_the_report(bench_env, capsys):
     rc = main([
         "bench", "--bench-dir", str(bench_env["dir"]), "--no-report",

@@ -186,6 +186,16 @@ def test_missing_benchmark_is_a_regression_new_one_is_a_note():
     assert any("new benchmark" in note for note in result.notes)
 
 
+def test_selection_skips_unselected_and_keeps_selected_missing():
+    base = report([record("a"), record("b", wall=0.1), record("gone")])
+    cur = report([record("b", wall=9.0)])
+    result = compare_reports(cur, base, selected=["b", "gone"])
+    assert sorted((r.benchmark, r.kind) for r in result.regressions) == [
+        ("b", "wall"), ("gone", "missing")]
+    [note] = result.notes
+    assert "1 baseline benchmark(s)" in note and note.endswith(": a")
+
+
 def test_status_regression_carries_error_hint():
     base = report([record("a")])
     cur = report([

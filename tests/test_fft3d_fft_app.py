@@ -1,14 +1,20 @@
 """Distributed 3D-FFT numerics and the instrumented cluster app."""
 
+from typing import Dict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.fft3d.app import FFT3DApp
+from repro.fft3d.app import FFT3DApp, RankTraffic
 from repro.fft3d.fft import FORWARD_PHASES, Distributed3DFFT
+from repro.fft3d.resort import ROUTINES
+from repro.machine.cache import TrafficCounters
 from repro.machine.config import SUMMIT
 from repro.mpi.grid import ProcessorGrid
-from repro.noise import QUIET
+from repro.noise import QUIET, NoiseConfig
 
 
 class TestNumerics:
@@ -130,3 +136,75 @@ class TestApp:
         r_flag = flagged.resort_summary("s2cf")[0].reads_per_write
         assert r_plain == pytest.approx(1.0, rel=0.05)
         assert r_flag == pytest.approx(2.0, rel=0.05)
+
+
+# ----------------------------------------------------------------------
+# Differential: one run model per resort phase against one per rank.
+
+class _PerRankModelApp(FFT3DApp):
+    """FFT3DApp as it was before ranks shared a phase's run model:
+    each rank builds the phase kernel and ``Executor.run`` computes its
+    model. Sharing the model must leave every count, clock, generator
+    and record as this does."""
+
+    def _run_resort_slice(self, spec, sub):
+        kernel_cls = ROUTINES[spec.routine]
+        duration = 0.0
+        before: Dict[int, TrafficCounters] = {}
+        for rank in range(self.comm.size):
+            placement = self.comm.placements[rank]
+            kernel = kernel_cls(sub, seed=self.seed)
+            record = self._executor_of(rank).run(
+                kernel, socket_id=placement.socket_id, n_cores=1,
+                prefetch=self.compiler.prefetch, noisy=True,
+                assume_socket_busy=True, advance_clock=False,
+            )
+            duration = max(duration, record.runtime_per_rep)
+            before[rank] = record.recorded_traffic
+        self.cluster.advance_all(duration)
+        for rank, traffic in before.items():
+            self.records.append(RankTraffic(
+                phase=spec.name, rank=rank,
+                read_bytes=traffic.read_bytes,
+                write_bytes=traffic.write_bytes,
+                seconds=duration,
+            ))
+
+
+def _cluster_state(app):
+    """The records, then every node's clock bits, transaction counts
+    and generator states."""
+    records = [(r.phase, r.rank, r.read_bytes, r.write_bytes,
+                r.seconds.hex()) for r in app.records]
+    nodes = [(node.clock.hex(),
+              [(s.memory.total_read_bytes, s.memory.total_write_bytes)
+               for s in node.sockets],
+              [node.noise_model(i)._rng.bit_generator.state
+               for i in range(len(node.sockets))])
+             for node in app.cluster.nodes]
+    return records, nodes
+
+
+class TestSharedPhaseModel:
+    @settings(max_examples=40, deadline=None)
+    @given(direction=st.sampled_from(["forward", "backward", "roundtrip"]),
+           use_gpu=st.booleans(),
+           shape=st.sampled_from([(2, 2), (1, 4), (2, 4), (4, 2), (2, 6)]),
+           n=st.sampled_from([48, 96, 192, 768]),
+           slices=st.integers(1, 3),
+           flags=st.sampled_from(["", "-fprefetch-loop-arrays"]),
+           noise=st.sampled_from(["default", "quiet"]),
+           seed=st.integers(0, 2**16))
+    def test_matches_per_rank_models(self, direction, use_gpu, shape, n,
+                                     slices, flags, noise, seed):
+        states = []
+        for cls in (FFT3DApp, _PerRankModelApp):
+            app = cls(n=n, grid=ProcessorGrid(*shape), seed=seed,
+                      noise=NoiseConfig() if noise == "default" else QUIET,
+                      use_gpu=use_gpu, compiler_flags=flags,
+                      direction=direction)
+            assert app.cluster.n_nodes >= 2
+            app.run(slices_per_phase=slices)
+            states.append(_cluster_state(app))
+        assert states[0] == states[1]
+        assert states[0][0]  # the resort phases recorded every rank

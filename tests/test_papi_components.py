@@ -77,6 +77,26 @@ class TestPCPComponent:
         assert summit_papi.query_event(good)
         assert not summit_papi.query_event("pcp:::nope.metric:cpu87")
 
+    def test_open_resolves_metric_instance_and_pmid(self, summit_papi):
+        component = summit_papi.component("pcp")
+        metric = "perfevent.hwcounters.nest_mba3_imc.PM_MBA3_WRITE_BYTES.value"
+        handle = component.open_event(f"pcp:::{metric}:cpu175")
+        assert (handle.metric, handle.instance) == (metric, "cpu175")
+        assert handle.pmid == component.context.lookup_names([metric])[0]
+
+    def test_lost_instance_raises(self, summit_papi, monkeypatch):
+        component = summit_papi.component("pcp")
+        es = summit_papi.create_eventset()
+        es.add_event("pcp:::perfevent.hwcounters.nest_mba0_imc."
+                     "PM_MBA0_READ_BYTES.value:cpu87")
+        es.start()
+        # The daemon stops exporting socket 0 while the set counts.
+        [pmda] = [agent for agent in component.context.pmcd.agents
+                  if agent.name == "perfevent"]
+        monkeypatch.setattr(pmda, "fetch", lambda pmid: {"cpu175": 0})
+        with pytest.raises(PapiNoEvent, match="lost instance 'cpu87'"):
+            es.stop()
+
 
 class TestPerfUncoreComponent:
     def test_denied_on_summit(self, summit_papi):
