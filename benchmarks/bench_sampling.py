@@ -16,6 +16,13 @@ overhead counters: more samples → more replay slices and records
 are deterministic for a fixed seed, so they are gated against the
 frozen baseline; wall-clock is machine-dependent and rides along as
 ``info_``.
+
+The replay benchmark (DESIGN.md §6.5) pins the vectorized segment
+replay: it must run ``observe`` at least 3x faster than the scalar
+slice-per-sample oracle at period 8, with *bit-identical* estimator
+output (the scalar path stays in the tree exactly to make this
+differential cheap to assert forever). The scalar reference runs
+alongside, so its ``info_`` wall stays comparable across machines.
 """
 
 import time
@@ -36,6 +43,15 @@ GATE_PERIOD = 128
 ABLATION_N = 128
 ABLATION_CACHE_KIB = 128
 ABLATION_PERIODS = (32, 128, 512)
+
+REPLAY_N = 64
+REPLAY_CACHE_KIB = 128
+REPLAY_PERIOD = 8
+REQUIRED_REPLAY_SPEEDUP = 3.0
+
+
+def _rel_dev(got: int, ref: int) -> float:
+    return abs(got - ref) / ref if ref else float(got != ref)
 
 
 def _observe(n: int, cache_kib: int, period: int, seed: int):
@@ -122,3 +138,63 @@ def test_sampling_period_ablation(run_bench):
     # (dense-miss) operating point; the sweep spans a 16x rate range.
     for period in ABLATION_PERIODS:
         assert metrics[f"total_rel_error_p{period}"] < ERROR_BOUND
+
+
+@benchmark("sampling-replay", tags=("papi", "sampling", "perf"))
+def bench_sampling_replay(ctx):
+    kernel = Gemm(REPLAY_N)
+    cache = CacheConfig(capacity_bytes=REPLAY_CACHE_KIB * KIB)
+
+    results = {}
+    for label, vectorized in (("scalar", False), ("vectorized", True)):
+        observer = SamplingObserver(
+            cache, kernel.streams(),
+            SamplingConfig(period=REPLAY_PERIOD, seed=ctx.seed),
+            vectorized=vectorized)
+        t0 = time.perf_counter()
+        observer.observe_kernel(kernel)
+        results[label] = (observer, time.perf_counter() - t0)
+
+    scalar, t_scalar = results["scalar"]
+    vector, t_vector = results["vectorized"]
+    speedup = t_scalar / t_vector if t_vector else 0.0
+    s_est = scalar.estimated_traffic()
+    v_est = vector.estimated_traffic()
+    ctx.log(format_table(
+        ["replay", "seconds", "samples", "slices", "est read B",
+         "est write B"],
+        [["scalar", round(t_scalar, 3), scalar.n_samples,
+          scalar.slices, round(s_est.read_bytes), round(s_est.write_bytes)],
+         ["vectorized", round(t_vector, 3), vector.n_samples,
+          vector.slices, round(v_est.read_bytes),
+          round(v_est.write_bytes)]],
+        title=f"[sampling] replay GEMM N={REPLAY_N}, "
+              f"{REPLAY_CACHE_KIB} KiB cache, period {REPLAY_PERIOD}: "
+              f"replay speedup {speedup:.2f}x"))
+    return {
+        # One-sided gate: 0 while the vectorized replay clears 3x.
+        "replay_speedup_shortfall_gap": max(
+            0.0, (REQUIRED_REPLAY_SPEEDUP - speedup)
+            / REQUIRED_REPLAY_SPEEDUP),
+        # Bit-identical estimators: any deviation regresses.
+        "replay_read_dev": _rel_dev(v_est.read_bytes, s_est.read_bytes),
+        "replay_write_dev": _rel_dev(v_est.write_bytes,
+                                     s_est.write_bytes),
+        "replay_sample_dev": _rel_dev(vector.n_samples,
+                                      scalar.n_samples),
+        "sample_fraction": (scalar.n_samples
+                            / scalar.accesses_observed),
+        # Observability, never gated.
+        "info_speedup": speedup,
+        "info_scalar_wall_s": t_scalar,
+        "info_vectorized_wall_s": t_vector,
+        "info_vectorized_slices": float(vector.slices),
+    }
+
+
+def test_sampling_replay_bit_identical(run_bench):
+    _, metrics = run_bench(bench_sampling_replay)
+    assert metrics["replay_read_dev"] == 0.0
+    assert metrics["replay_write_dev"] == 0.0
+    assert metrics["replay_sample_dev"] == 0.0
+    assert metrics["replay_speedup_shortfall_gap"] == 0.0

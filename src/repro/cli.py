@@ -269,12 +269,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
 
 
 def build_pipeline_parser() -> argparse.ArgumentParser:
-    from .engine.envconfig import (
-        AUTOTUNE_ENV,
-        RING_DEPTH_ENV,
-        SEGMENT_ROWS_ENV,
-        TARGET_OCCUPANCY_ENV,
-    )
+    from .engine.envconfig import RING_DEPTH_ENV, SEGMENT_ROWS_ENV
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments pipeline",
@@ -303,20 +298,6 @@ def build_pipeline_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ring-depth", type=int, default=None,
                         help="segment slots in the shared ring "
                              f"(default: ${RING_DEPTH_ENV} or 4)")
-    parser.add_argument("--autotune", action="store_true",
-                        help="enable the self-tuning execution layer: "
-                             "AIMD segment sizing steered by ring "
-                             "occupancy, worker CPU affinity, and "
-                             f"sorted shard spans (default: "
-                             f"${AUTOTUNE_ENV} or off)")
-    parser.add_argument("--target-occupancy", type=float, default=None,
-                        help="ring-occupancy setpoint in (0, 1] for "
-                             "the segment-size controller (default: "
-                             f"${TARGET_OCCUPANCY_ENV} or 0.75)")
-    parser.add_argument("--tuning-trace-out", default=None,
-                        help="write the controller's (seq, rows, "
-                             "occupancy) tuning trace to this JSON "
-                             "file (CI artifact)")
     parser.add_argument("--compare-sequential", action="store_true",
                         help="also run the sequential generate-then-"
                              "simulate path (the single-process batch "
@@ -487,7 +468,6 @@ def _pipeline_kernel(name: str, size: int):
 def _run_pipeline_cmd(argv: List[str]) -> int:
     import time as _time
 
-    from .engine.autotune import AutotuneConfig
     from .engine.exact import ExactEngine
     from .engine.pipeline import PipelinedExactEngine
     from .machine.config import CacheConfig
@@ -496,18 +476,11 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
     args = build_pipeline_parser().parse_args(argv)
     kernel = _pipeline_kernel(args.kernel, args.size)
     cache = CacheConfig(capacity_bytes=int(args.cache_mib * MIB))
-    # --autotune forces the controller on; without it the REPRO_AUTOTUNE
-    # env default still applies (None).
-    autotune = True if args.autotune else None
-    tune_config = (AutotuneConfig(target_occupancy=args.target_occupancy)
-                   if args.target_occupancy is not None else None)
 
     t0 = _time.perf_counter()
     with PipelinedExactEngine(cache, n_workers=args.workers,
                               segment_rows=args.segment_rows,
-                              ring_depth=args.ring_depth,
-                              autotune=autotune,
-                              autotune_config=tune_config) as engine:
+                              ring_depth=args.ring_depth) as engine:
         traffic = engine.run_kernel(kernel)
     wall = _time.perf_counter() - t0
     stats = dict(engine.last_pipeline_stats)
@@ -539,17 +512,6 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
         report["traffic_match"] = (
             traffic.read_bytes == seq_traffic.read_bytes
             and traffic.write_bytes == seq_traffic.write_bytes)
-    if args.tuning_trace_out:
-        with open(args.tuning_trace_out, "w", encoding="utf-8") as fh:
-            json.dump({
-                "kernel": kernel.name,
-                "autotune": stats.get("autotune", False),
-                "target_occupancy": stats.get("target_occupancy"),
-                "final_segment_rows": stats.get("final_segment_rows"),
-                "mean_ring_occupancy": stats.get("mean_ring_occupancy"),
-                "worker_cpus": stats.get("worker_cpus"),
-                "trace": stats.get("tuning_trace", []),
-            }, fh, indent=2)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -566,18 +528,6 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
               f"utilization {stats['utilization']:.2f}, "
               f"queue depth mean {stats['mean_queue_depth']:.2f} "
               f"max {stats['max_queue_depth']}")
-        if stats.get("autotune"):
-            cpus = stats.get("worker_cpus")
-            cpu_map = ("none (pinning unavailable)" if not cpus else
-                       " ".join(f"w{w}->" + ",".join(map(str, c))
-                                for w, c in enumerate(cpus)))
-            print(f"  autotune: final segment_rows="
-                  f"{stats.get('final_segment_rows', stats['segment_rows'])}"
-                  f" ring occupancy "
-                  f"{stats.get('mean_ring_occupancy', 0.0):.2f}"
-                  f" (target {stats.get('target_occupancy', 0.0):.2f}),"
-                  f" {len(stats.get('tuning_trace', []))} decisions,"
-                  f" workers {cpu_map}")
         if args.compare_sequential:
             seq_info = report["sequential"]
             match = "exact" if report["traffic_match"] else "MISMATCH"

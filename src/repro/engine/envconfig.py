@@ -20,13 +20,9 @@ The sampling observer (``repro.papi.sampling``) adds three more:
 sampled estimates — that is their point — but never the exact
 engines' results.
 
-The self-tuning execution layer (``repro.engine.autotune``) adds
-``REPRO_AUTOTUNE`` (enable the feedback controller + worker affinity),
-``REPRO_TARGET_OCCUPANCY`` (ring-occupancy setpoint in (0, 1]) and
-``REPRO_AFFINITY`` (``auto``/``on``/``off`` worker CPU pinning).
-Like the sizing knobs these are timing-only: the controller resizes
-segments and the pinner moves workers, but traffic counters stay
-byte-identical (tested).
+An explicit constructor or function argument always beats its
+environment default; the variable is read only when the argument is
+``None``.
 """
 
 from __future__ import annotations
@@ -47,17 +43,10 @@ SAMPLE_PERIOD_ENV = "REPRO_SAMPLE_PERIOD"
 SAMPLE_SKID_ENV = "REPRO_SAMPLE_SKID"
 #: Extra random skid bound (in accesses) on top of the fixed skid.
 SAMPLE_JITTER_ENV = "REPRO_SAMPLE_JITTER"
-#: Enable the pipelined engine's self-tuning controller by default.
-AUTOTUNE_ENV = "REPRO_AUTOTUNE"
-#: Ring-occupancy setpoint the segment-size controller steers toward.
-TARGET_OCCUPANCY_ENV = "REPRO_TARGET_OCCUPANCY"
-#: Worker CPU pinning: ``auto`` (with autotune), ``on``, or ``off``.
-AFFINITY_ENV = "REPRO_AFFINITY"
 
 DEFAULT_SEGMENT_ROWS = 1 << 20
 DEFAULT_RING_DEPTH = 4
 DEFAULT_SAMPLE_PERIOD = 64
-DEFAULT_TARGET_OCCUPANCY = 0.75
 
 
 def positive_int(value, name: str) -> int:
@@ -132,63 +121,3 @@ def default_sample_skid() -> int:
 def default_sample_skid_jitter() -> int:
     """Random extra skid bound (``REPRO_SAMPLE_JITTER`` or 0)."""
     return _env_nonnegative_int(SAMPLE_JITTER_ENV, 0)
-
-
-def unit_fraction(value, name: str) -> float:
-    """Validate ``value`` as a float in (0, 1]; clear error otherwise."""
-    try:
-        parsed = float(value)
-    except (TypeError, ValueError):
-        raise SimulationError(
-            f"{name} must be a float in (0, 1], got {value!r}"
-        ) from None
-    if not 0.0 < parsed <= 1.0:
-        raise SimulationError(
-            f"{name} must be a float in (0, 1], got {value!r}")
-    return parsed
-
-
-_FLAG_TRUE = frozenset({"1", "true", "yes", "on"})
-_FLAG_FALSE = frozenset({"0", "false", "no", "off"})
-
-
-def env_flag(env: str, default: bool = False) -> bool:
-    """Boolean env knob; accepts 1/0, true/false, yes/no, on/off."""
-    raw = os.environ.get(env)
-    if raw is None or raw == "":
-        return default
-    lowered = raw.strip().lower()
-    if lowered in _FLAG_TRUE:
-        return True
-    if lowered in _FLAG_FALSE:
-        return False
-    raise SimulationError(
-        f"environment variable {env} must be a boolean flag "
-        f"(1/0, true/false, yes/no, on/off), got {raw!r}")
-
-
-def default_autotune() -> bool:
-    """Self-tuning default (``REPRO_AUTOTUNE`` or off)."""
-    return env_flag(AUTOTUNE_ENV, False)
-
-
-def default_target_occupancy() -> float:
-    """Ring-occupancy setpoint (``REPRO_TARGET_OCCUPANCY`` or 0.75)."""
-    raw = os.environ.get(TARGET_OCCUPANCY_ENV)
-    if raw is None or raw == "":
-        return DEFAULT_TARGET_OCCUPANCY
-    return unit_fraction(
-        raw, f"environment variable {TARGET_OCCUPANCY_ENV}")
-
-
-def affinity_mode() -> str:
-    """Worker-pinning mode (``REPRO_AFFINITY``): auto, on, or off."""
-    raw = os.environ.get(AFFINITY_ENV)
-    if raw is None or raw == "":
-        return "auto"
-    lowered = raw.strip().lower()
-    if lowered not in ("auto", "on", "off"):
-        raise SimulationError(
-            f"environment variable {AFFINITY_ENV} must be one of "
-            f"auto/on/off, got {raw!r}")
-    return lowered

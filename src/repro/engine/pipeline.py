@@ -84,18 +84,10 @@ from typing import (
 import numpy as np
 
 from ..errors import SimulationError
-from ..machine.affinity import apply_affinity, plan_worker_cpus
 from ..machine.cache import CacheSim, TrafficCounters, expand_to_sectors
 from ..machine.config import CacheConfig
 from ..machine.prefetch import SoftwarePrefetch
-from .autotune import (
-    AdaptiveBackoff,
-    AutotuneConfig,
-    SegmentSizeController,
-    resolve_autotune,
-)
 from .envconfig import (
-    affinity_mode,
     default_ring_depth,
     positive_int,
     resolve_segment_rows,
@@ -174,20 +166,16 @@ class _Checkpoints:
 
 def _worker_main(worker_id: int, n_workers: int, ring_path: str,
                  slot_rows: int, depth: int, config: CacheConfig,
-                 policy: str, task_q, result_q,
-                 cpus=None) -> None:
+                 policy: str, task_q, result_q) -> None:
     """Shard-worker loop: lives for the whole engine, one nest at a
     time. Messages arrive in program order through the private queue:
     ``("begin",)`` → fresh simulator, ``("seg", slot, rows, seq)`` →
-    mask owned rows then ack, ``("sseg", slot, seq, offsets)`` →
-    slice the pre-sorted per-worker span then ack, ``("end",
-    nest_id)`` → flush and report counters, ``("stop",)`` → exit.
-    ``cpus`` (optional) pins the worker via ``sched_setaffinity``."""
+    take the rows of slot ``slot`` whose shard is ``worker_id`` (all
+    rows when it is the only worker) then ack, ``("end", nest_id)`` →
+    flush and report counters, ``("stop",)`` → exit."""
     sim = None
     busy = 0.0
     rows_owned = 0
-    if cpus:
-        apply_affinity(cpus)
     try:
         with open(ring_path, "rb") as handle:
             ring = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
@@ -199,22 +187,6 @@ def _worker_main(worker_id: int, n_workers: int, ring_path: str,
                 sim = CacheSim(config, policy=policy)
                 busy = 0.0
                 rows_owned = 0
-            elif kind == "sseg":
-                _, slot, seq, offsets = msg
-                start = time.perf_counter()
-                cols = views[slot]
-                lo = offsets[worker_id]
-                hi = offsets[worker_id + 1]
-                # Copy out of the slot before acking: the parent may
-                # rewrite it once the seq is fully acked.
-                addr = cols["addr"][lo:hi].copy()
-                size = cols["size"][lo:hi].copy()
-                is_write = cols["is_write"][lo:hi].copy()
-                if addr.size:
-                    sim.access_batch(addr, size.astype(np.int64), is_write)
-                    rows_owned += int(addr.size)
-                busy += time.perf_counter() - start
-                result_q.put(("ack", worker_id, seq))
             elif kind == "seg":
                 _, slot, rows, seq = msg
                 start = time.perf_counter()
@@ -273,10 +245,7 @@ class PipelinedExactEngine:
                  policy: str = "lru",
                  segment_rows: Optional[int] = None,
                  ring_depth: Optional[int] = None,
-                 checkpoint_dir=None,
-                 autotune: Optional[bool] = None,
-                 autotune_config: Optional[AutotuneConfig] = None,
-                 affinity: Optional[bool] = None):
+                 checkpoint_dir=None):
         cache = _with_capacity(cache, capacity_override)
         self.cache_config = cache
         self.policy = policy
@@ -293,14 +262,6 @@ class PipelinedExactEngine:
         self.segment_rows = resolve_segment_rows(segment_rows)
         self.ring_depth = (default_ring_depth() if ring_depth is None
                            else positive_int(ring_depth, "ring_depth"))
-        self.autotune = resolve_autotune(autotune)
-        self.autotune_config = autotune_config or AutotuneConfig()
-        if affinity is None:
-            mode = affinity_mode()
-            self.affinity = (self.autotune if mode == "auto"
-                             else mode == "on")
-        else:
-            self.affinity = bool(affinity)
         # The write-combining buffer lives in the parent simulator.
         self.sim = CacheSim(cache, policy=policy)
         #: Directory for per-kernel checkpoints of ``run_many`` suites
@@ -331,9 +292,6 @@ class PipelinedExactEngine:
         self._ring = None
         self._ring_path: Optional[str] = None
         self._views = None
-        self._backoff = AdaptiveBackoff()
-        self._controller: Optional[SegmentSizeController] = None
-        self._worker_cpus: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------- lifecycle
     def __enter__(self) -> "PipelinedExactEngine":
@@ -381,17 +339,13 @@ class PipelinedExactEngine:
         self._result_q = ctx.Queue()
         self._task_qs = []
         self._pool = []
-        self._worker_cpus = (plan_worker_cpus(self.n_workers)
-                             if self.affinity else None)
         for wid in range(self.n_workers):
             task_q = ctx.Queue()
-            cpus = (self._worker_cpus[wid]
-                    if self._worker_cpus is not None else None)
             proc = ctx.Process(
                 target=_worker_main,
                 args=(wid, self.n_workers, path, self.segment_rows,
                       self.ring_depth, self.cache_config, self.policy,
-                      task_q, self._result_q, cpus),
+                      task_q, self._result_q),
                 daemon=True,
             )
             proc.start()
@@ -480,18 +434,14 @@ class PipelinedExactEngine:
     def _wait(self, ready: Callable[[], bool]) -> float:
         """Block until ``ready()``; returns seconds stalled.
 
-        Polling uses adaptive exponential backoff: sub-millisecond
-        reaction while acks are flowing, sleeps capped at the old
-        fixed poll interval when the queue runs dry (which still
-        bounds how late a dead worker is noticed)."""
+        Each blocking ``get`` returns as soon as a worker message
+        arrives; its ``_POLL_S`` timeout only bounds how late a dead
+        worker is noticed."""
         start = time.perf_counter()
         self._drain()
-        self._backoff.reset()
         while not ready():
             try:
-                self._handle(
-                    self._result_q.get(timeout=self._backoff.timeout()))
-                self._backoff.reset()
+                self._handle(self._result_q.get(timeout=_POLL_S))
             except queue_mod.Empty:
                 dead = [p.pid for p in self._pool if not p.is_alive()]
                 if dead:
@@ -505,32 +455,23 @@ class PipelinedExactEngine:
     # ------------------------------------------------------- producing
     def _submit_segment(self, c_addr, c_size, c_write, shard,
                         stats: Dict[str, float]) -> None:
-        """Write expanded columns into ring slots (re-chunking to slot
-        capacity) and announce them to every worker.
-
-        With autotune on, the chunk size follows the AIMD controller
-        (clamped to the mmapped slot capacity) and multi-worker
-        chunks are stably sorted by shard so each worker consumes a
-        contiguous span (``"sseg"``) instead of rescanning the full
-        slot for its mask — the sort is one O(rows) uint8 radix pass
-        in the producer that deletes an O(rows) scan from *every*
-        worker. Stable sort preserves per-shard (hence per-set)
-        program order, so results stay byte-identical."""
-        ctrl = self._controller
+        """Write expanded columns into ring slots, ``segment_rows``
+        rows per slot, and announce each slot to every worker with a
+        ``("seg", slot, rows, seq)`` message. Before a slot is
+        rewritten, wait until every worker acked the segment it held
+        (backpressure). With several workers the slot also carries
+        each row's shard; each worker keeps only its own shard's
+        rows."""
         total = int(c_addr.size)
         lo = 0
         while lo < total:
-            cap = ctrl.rows if ctrl is not None else self.segment_rows
-            hi = min(lo + cap, total)
+            hi = min(lo + self.segment_rows, total)
             rows = hi - lo
             seq = self._seq
             slot = seq % self.ring_depth
-            stalled = False
             if seq >= self.ring_depth:
-                waited = self._wait(
+                stats["stall_s"] += self._wait(
                     lambda s=seq: self._segment_acked(s - self.ring_depth))
-                stats["stall_s"] += waited
-                stalled = waited > 1e-3
                 self._acks.pop(seq - self.ring_depth, None)
             in_flight = sum(
                 1 for s in range(max(0, seq - self.ring_depth), seq)
@@ -538,26 +479,14 @@ class PipelinedExactEngine:
             stats["depth_sum"] += in_flight
             stats["depth_max"] = max(stats["depth_max"], in_flight)
             cols = self._views[slot]
-            if shard is not None and self.autotune:
-                order = np.argsort(shard[lo:hi], kind="stable")
-                cols["addr"][:rows] = c_addr[lo:hi][order]
-                cols["size"][:rows] = c_size[lo:hi][order]
-                cols["is_write"][:rows] = c_write[lo:hi][order]
-                offsets = tuple(np.searchsorted(
-                    shard[lo:hi][order],
-                    np.arange(self.n_workers + 1)).tolist())
-                self._broadcast(("sseg", slot, seq, offsets))
-            else:
-                cols["addr"][:rows] = c_addr[lo:hi]
-                cols["size"][:rows] = c_size[lo:hi]
-                cols["is_write"][:rows] = c_write[lo:hi]
-                if shard is not None:
-                    cols["shard"][:rows] = shard[lo:hi]
-                self._broadcast(("seg", slot, rows, seq))
+            cols["addr"][:rows] = c_addr[lo:hi]
+            cols["size"][:rows] = c_size[lo:hi]
+            cols["is_write"][:rows] = c_write[lo:hi]
+            if shard is not None:
+                cols["shard"][:rows] = shard[lo:hi]
+            self._broadcast(("seg", slot, rows, seq))
             self._seq += 1
             stats["segments"] += 1
-            if ctrl is not None:
-                ctrl.observe(in_flight / self.ring_depth, stalled)
             self._drain()
             lo = hi
 
@@ -680,18 +609,6 @@ class PipelinedExactEngine:
         active: Dict[int, Tuple[int, TrafficCounters, Optional[str]]] = {}
         worker_busy = [0.0] * max(1, self.n_workers)
         inline = self.n_workers == 0
-        if self.autotune and not inline:
-            # Fresh controller per run, seeded with the previous
-            # run's converged size so a persistent pool keeps its
-            # learned operating point across kernels.
-            initial = (self._controller.rows
-                       if self._controller is not None
-                       else max(self.autotune_config.min_rows,
-                                self.segment_rows // 8))
-            self._controller = SegmentSizeController(
-                self.segment_rows, initial, self.autotune_config)
-        else:
-            self._controller = None
         try:
             if not inline:
                 self._ensure_pool()
@@ -775,21 +692,7 @@ class PipelinedExactEngine:
             "mean_queue_depth": (stats["depth_sum"] / stats["segments"]
                                  if stats["segments"] else 0.0),
             "max_queue_depth": int(stats["depth_max"]),
-            "autotune": bool(self.autotune),
-            "affinity": bool(self.affinity),
-            "worker_cpus": self._worker_cpus,
         }
-        ctrl = self._controller
-        if ctrl is not None:
-            self.last_pipeline_stats.update({
-                "target_occupancy": ctrl.target,
-                "final_segment_rows": ctrl.rows,
-                "mean_ring_occupancy": (
-                    stats["depth_sum"]
-                    / (stats["segments"] * self.ring_depth)
-                    if stats["segments"] else 0.0),
-                "tuning_trace": [list(t) for t in ctrl.trace],
-            })
         return [r if r is not None else TrafficCounters()
                 for r in results]
 

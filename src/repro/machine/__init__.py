@@ -6,7 +6,6 @@ store-bypass policy, memory controllers with nest counters, and the
 assembled :class:`~repro.machine.node.Node`.
 """
 
-from .affinity import ThreadBinding, cores_per_socket, hw_thread_of, pin_threads
 from .cache import CacheSim, TrafficCounters
 from .config import (
     POWER10,
@@ -53,12 +52,8 @@ __all__ = [
     "StorePolicy",
     "StreamDetector",
     "TELLICO",
-    "ThreadBinding",
     "TrafficCounters",
-    "cores_per_socket",
     "get_machine",
-    "hw_thread_of",
-    "pin_threads",
     "nest_event_names",
     "resolve_store_policy",
     "store_policy_for",

@@ -7,12 +7,14 @@ through the persistent worker pool) must reproduce the batch engine's
 traffic, hit and miss counts exactly, for any segment size, ring
 depth, worker count and entry point. Checkpointed multi-kernel runs
 must resume after a fault without changing a single byte of the
-totals, and an aborted run must leave nothing behind for the next.
+totals, an aborted run must leave nothing behind for the next, and a
+pool that had to be terminated is reported, never silently dropped.
 """
 
 import json
 import os
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +154,20 @@ class TestPooledPipeline:
             traffic = eng.run_kernel(kernel)
             assert pipelined_state(eng, traffic) == ref
 
+    @pytest.mark.parametrize("kernel", FAMILY_KERNELS, ids=_IDS)
+    @given(segment_rows=st.integers(32, 2048),
+           ring_depth=st.integers(1, 4),
+           n_workers=st.integers(1, 3))
+    @settings(max_examples=8, deadline=None)
+    def test_pool_matches_batch_any_sizing(self, kernel, segment_rows,
+                                           ring_depth, n_workers):
+        ref = batch_reference(kernel)
+        with PipelinedExactEngine(SMALL, n_workers=n_workers,
+                                  segment_rows=segment_rows,
+                                  ring_depth=ring_depth) as eng:
+            traffic = eng.run_kernel(kernel)
+            assert pipelined_state(eng, traffic) == ref
+
     def test_single_worker_and_tight_ring_backpressure(self):
         # ring_depth=1 forces a full producer/consumer handshake on
         # every segment; a slot-reuse race would corrupt the counters.
@@ -258,6 +274,36 @@ class TestCheckpointResume:
 
         fresh = PipelinedExactEngine(SMALL, n_workers=2,
                                      segment_rows=173,
+                                     checkpoint_dir=tmp_path / "ckpt")
+        with fresh:
+            results = fresh.run_many(kernels)
+        assert fresh.kernels_resumed >= 1
+        for traffic, ref in zip(results, refs):
+            assert (traffic.read_bytes, traffic.write_bytes) == ref[:2]
+
+    def test_resume_after_fault_with_sizing_flipped(self, tmp_path):
+        """A suite checkpointed mid-run under one segment size and ring
+        depth must resume under another without changing a byte:
+        checkpoints are keyed by kernel and cache geometry, never by
+        sizing."""
+        kernels = [Gemm(10), Dot(777), StreamKernel(op="triad", n=800)]
+        refs = [batch_reference(k) for k in kernels]
+
+        calls = []
+
+        def hook(worker_id):
+            calls.append(worker_id)
+            if len(calls) == 2:
+                raise RuntimeError("injected fault")
+
+        eng = PipelinedExactEngine(SMALL, n_workers=2, segment_rows=173,
+                                   checkpoint_dir=tmp_path / "ckpt")
+        eng.after_shard_hook = hook
+        with pytest.raises(RuntimeError, match="injected fault"):
+            eng.run_many(kernels)
+
+        fresh = PipelinedExactEngine(SMALL, n_workers=2,
+                                     segment_rows=347, ring_depth=2,
                                      checkpoint_dir=tmp_path / "ckpt")
         with fresh:
             results = fresh.run_many(kernels)
@@ -414,6 +460,35 @@ class TestAbortedRun:
 
 
 # ----------------------------------------------------------------------
+# lifecycle: leak reporting
+# ----------------------------------------------------------------------
+class TestLifecycle:
+    def test_del_reports_leaked_worker_pids(self):
+        eng = PipelinedExactEngine(SMALL, n_workers=1, segment_rows=64)
+        eng.run_kernel(Dot(300))
+        eng.close()
+        eng.close = lambda: [4242, 4243]  # simulate a missed join
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eng.__del__()
+        leaks = [w for w in caught
+                 if issubclass(w.category, ResourceWarning)]
+        assert len(leaks) == 1
+        assert "4242" in str(leaks[0].message)
+        assert "4243" in str(leaks[0].message)
+
+    def test_del_is_silent_after_clean_close(self):
+        eng = PipelinedExactEngine(SMALL, n_workers=1, segment_rows=64)
+        eng.run_kernel(Dot(300))
+        assert eng.close() == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            eng.__del__()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+
+# ----------------------------------------------------------------------
 # env knobs: parse-time validation and plumbing
 # ----------------------------------------------------------------------
 class TestEnvKnobs:
@@ -445,6 +520,19 @@ class TestEnvKnobs:
         monkeypatch.setenv(SEGMENT_ROWS_ENV, "100")
         segs = list(Dot(400).segments())
         assert len(segs) == 8  # 800 rows / (100-row target => 50 iters)
+
+    def test_constructor_args_beat_sizing_env(self, monkeypatch):
+        # Knob-precedence regression: explicit constructor arguments
+        # always win; the env default applies only when None.
+        monkeypatch.setenv(SEGMENT_ROWS_ENV, "777")
+        monkeypatch.setenv(RING_DEPTH_ENV, "9")
+        eng = PipelinedExactEngine(SMALL, n_workers=0,
+                                   segment_rows=55, ring_depth=3)
+        assert eng.segment_rows == 55
+        assert eng.ring_depth == 3
+        dflt = PipelinedExactEngine(SMALL, n_workers=0)
+        assert dflt.segment_rows == 777
+        assert dflt.ring_depth == 9
 
     def test_pipelined_engine_rejects_bad_args(self):
         with pytest.raises(SimulationError):
