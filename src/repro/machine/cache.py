@@ -17,29 +17,35 @@ models a POWER9-style L3 slice:
 The simulator exposes byte-accurate read/write memory-traffic counters
 via :class:`TrafficCounters`, which the nest counter block consumes.
 
-Two access paths produce identical results (differential-tested):
+The cache state is one set of NumPy arrays with a row per (set, way)
+slot: the line's tag, its recency stamp (0 marks a free way) and a
+valid and a dirty bit per sector. A dense index over the sector ids
+of a window (:data:`INDEX_SECTOR_LIMIT`) holds each sector's bit
+position, slot * sectors-per-line + sector: the line -> slot map
+spelled out per sector, so the hit test is one gather. Every install
+and eviction writes it, so it is never stale. Two access paths read
+and write that state and produce identical results
+(differential-tested):
 
 * :meth:`CacheSim.access` — the scalar per-access oracle, one Python
   call per access;
 * :meth:`CacheSim.access_batch` — the columnar fast path. Accesses
   arrive as NumPy arrays, are sector-expanded vectorized, and are
-  processed in chunks: sets whose chunk touches only sectors resident
-  at chunk entry perform no installs or evictions, so their accesses
-  are all hits and are retired wholesale with array ops ("calm"
-  sets); the remaining ("turbulent") sets are replayed exactly, in
-  per-set program order. Under LRU that replay is a reuse-distance
-  computation made of array passes (Mattson's stack property: a line
-  access hits iff fewer than ``assoc`` distinct lines of its set were
-  touched since its previous touch); FIFO, which has no stack
-  property, replays runs of same-sector accesses in a Python loop.
+  processed in chunks. A set whose new lines in a chunk fit its free
+  ways cannot evict ("calm"): its lines take free ways by scatter,
+  the first touch of each non-resident sector is its only miss, and
+  recency and dirty bits are one scatter each. The remaining
+  ("turbulent") sets are replayed exactly, in per-set program order.
+  Under LRU that replay is a reuse-distance computation made of array
+  passes (Mattson's stack property: a line access hits iff fewer than
+  ``assoc`` distinct lines of its set were touched since its previous
+  touch); FIFO, which has no stack property, replays runs of
+  same-sector accesses in a Python loop.
 
 Exactness of the split rests on two facts: replacement state is
-*per-set* (sets never interact), and a set with zero non-resident
-touches in a chunk cannot install, hence cannot evict, hence its
-residency is frozen for the chunk. Recency bookkeeping for calm sets
-is scattered into a dense ``last_use`` overlay array; the authoritative
-per-line stamp is reconciled as ``max(line stamp, overlay stamp)``,
-which is exact because the access clock is monotonic.
+*per-set* (sets never interact), and a set with room for every line
+the chunk brings cannot evict, hence its residency only grows during
+the chunk.
 """
 
 from __future__ import annotations
@@ -53,10 +59,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import SimulationError
 from .config import CacheConfig
 
-#: Ceiling (in sector ids) under which residency is tracked in a dense
-#: boolean bitmap (fast gather); larger/negative address spaces fall
-#: back to the generic per-set replay path.
-BITMAP_SECTOR_LIMIT = 1 << 26
+#: Ceiling (in sector ids) of the window the index covers; lines
+#: outside it (negative or larger ids) are found by scanning their
+#: set, and a batch touching any of them replays every chunk.
+INDEX_SECTOR_LIMIT = 1 << 26
 
 #: Default number of sector accesses processed per vectorized chunk.
 DEFAULT_BATCH_CHUNK = 1 << 18
@@ -88,25 +94,13 @@ class TrafficCounters:
         yield self.write_bytes
 
 
-class _Line:
-    """State of one resident cache line (valid/dirty bits per sector,
-    plus the recency stamp replacement decisions compare)."""
-
-    __slots__ = ("valid_mask", "dirty_mask", "last_use")
-
-    def __init__(self, valid_mask: int = 0, dirty_mask: int = 0,
-                 last_use: int = 0) -> None:
-        self.valid_mask = valid_mask
-        self.dirty_mask = dirty_mask
-        self.last_use = last_use
-
-
-def _floordiv(arr: np.ndarray, divisor: int) -> np.ndarray:
+def _floordiv(arr: np.ndarray, divisor: int,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """``arr // divisor`` using a shift when the divisor is a power of
     two (measurably faster on the multi-million-entry batch columns)."""
     if divisor & (divisor - 1) == 0:
-        return arr >> (divisor.bit_length() - 1)
-    return arr // divisor
+        return np.right_shift(arr, divisor.bit_length() - 1, out=out)
+    return np.floor_divide(arr, divisor, out=out)
 
 
 def _mod(arr: np.ndarray, divisor: int) -> np.ndarray:
@@ -199,17 +193,6 @@ def _fewer_distinct(ci: np.ndarray, pr: np.ndarray, nxt: np.ndarray,
     return out
 
 
-def _clear_sectors(bitmap: np.ndarray, base: int, mask: int) -> None:
-    """Clear the bits of the sectors ``base + i`` for each bit ``i`` of
-    ``mask``, skipping sectors outside the bitmap."""
-    while mask:
-        low = mask & -mask
-        sid = base + low.bit_length() - 1
-        if 0 <= sid < bitmap.size:
-            bitmap[sid] = False
-        mask ^= low
-
-
 def _check_chunk_size(chunk_size) -> None:
     if (isinstance(chunk_size, bool)
             or not isinstance(chunk_size, (int, np.integer))
@@ -276,54 +259,128 @@ class CacheSim:
         self.sectors_per_line = config.line_bytes // config.granule_bytes
         self.n_sets = config.n_sets
         self.assoc = config.associativity
-        # One dict per set: tag (= global line id) -> _Line. Recency is
-        # carried by the monotonic access clock stamped into each line;
-        # the replacement victim is the minimum effective stamp.
-        self._sets: Tuple[Dict[int, _Line], ...] = tuple(
-            {} for _ in range(self.n_sets)
-        )
+        # One row per slot (set * assoc + way), plus a trailing row no
+        # line ever occupies: the index sends absent lines there, so
+        # their sectors read as neither valid nor dirty. A stamp is the
+        # access clock of the line's last touch (LRU) or of its install
+        # (FIFO); the victim is the smallest, and a free way's 0 comes
+        # first. Valid and dirty bits sit at slot * spl + sector.
+        n_slots = self.n_sets * self.assoc
+        self._absent = n_slots
+        self._tag = np.zeros(n_slots + 1, dtype=np.int64)
+        self._stamp = np.zeros(n_slots + 1, dtype=np.int64)
+        self._valid = np.zeros((n_slots + 1) * self.sectors_per_line,
+                               dtype=bool)
+        self._dirty = np.zeros_like(self._valid)
+        # Sector id -> the position of its bits (slot * spl + sector),
+        # in the trailing row when its line is absent: the line -> slot
+        # map spelled out per sector, so the hit test is one gather.
+        # It covers whole lines from sector 0 and grows on demand up to
+        # the window's _sector_limit.
+        self._index = np.empty(0, dtype=np.intp)
+        self._sector_limit = (INDEX_SECTOR_LIMIT
+                              - INDEX_SECTOR_LIMIT % self.sectors_per_line)
+        # Views of the same buffers for the scalar path: an element
+        # read or write through a memoryview costs about half as much
+        # as a NumPy scalar index. _grow_index renews _index_mv.
+        self._index_mv = memoryview(self._index)
+        self._valid_mv = memoryview(self._valid)
+        self._dirty_mv = memoryview(self._dirty)
+        self._stamp_mv = memoryview(self._stamp)
+        # int32 scratch over the index's sector ids for first-touch
+        # detection; it holds nothing between calls.
+        self._scratch: Optional[np.ndarray] = None
         self.traffic = TrafficCounters()
         # Write-combining buffer for bypassed (streaming) stores:
         # sector address -> count of bytes gathered.
         self._wcb: Dict[int, int] = {}
         self.stats_hits = 0
         self.stats_misses = 0
-        # Monotonic access clock (never reset — monotonicity makes the
-        # dense recency overlay below exact under max-reconciliation).
+        # Monotonic access clock, never reset: stamps stay unique.
         self._clock = 0
-        # Residency bitmap over sector ids (batch fast path) and the
-        # dense last_use overlay over line ids; both lazily allocated.
-        self._res_bitmap: Optional[np.ndarray] = None
-        self._res_stale = True
-        self._lu_dense: Optional[np.ndarray] = None
-        # Dirty bitmap over sector ids: rebuilt at the start of every
-        # watched batch (access_batch_probed) and maintained only for
-        # its duration, so the unwatched hot paths never pay for it.
-        self._dirty_bitmap: Optional[np.ndarray] = None
-        self._dirty_active = False
-        # int32 scratch over sector ids for first-touch detection.
-        self._scratch: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # address helpers
+    # state helpers
     # ------------------------------------------------------------------
-    def _split(self, addr: int) -> Tuple[int, int, int]:
-        """Return (set index, tag, sector index within line) for ``addr``."""
-        line_id = addr // self.line_bytes
-        sector = (addr % self.line_bytes) // self.granule
-        return line_id % self.n_sets, line_id, sector
+    def _find(self, sid: int) -> int:
+        """Bit position of sector ``sid`` (see ``_index``). A sector the
+        index covers is one lookup. The index grows to cover a sector
+        at most its own size past its end (a batch grows it further);
+        any other sector's line is found by scanning its set's ways."""
+        size = len(self._index_mv)
+        if not 0 <= sid < size:
+            if not 0 <= sid < min(2 * size + 1024, self._sector_limit):
+                line, sector = divmod(sid, self.sectors_per_line)
+                base = (line % self.n_sets) * self.assoc
+                ways = np.flatnonzero(
+                    (self._tag[base:base + self.assoc] == line)
+                    & (self._stamp[base:base + self.assoc] > 0))
+                slot = base + int(ways[0]) if ways.size else self._absent
+                return slot * self.sectors_per_line + sector
+            self._grow_index(sid // self.sectors_per_line)
+        return self._index_mv[sid]
 
-    def _effective_last_use(self, tag: int, line: _Line) -> int:
-        """Authoritative recency: per-line stamp reconciled against the
-        dense overlay written by the batch calm path (max is exact
-        because the clock is monotonic)."""
-        stamp = line.last_use
-        lud = self._lu_dense
-        if lud is not None and 0 <= tag < lud.size:
-            overlay = int(lud[tag])
-            if overlay > stamp:
-                return overlay
-        return stamp
+    def _grow_index(self, line: int) -> None:
+        """Extend the index to cover ``line`` (at least doubling, capped
+        at the window) and enter the resident lines it newly covers: a
+        replay of a batch that leaves the window may install them."""
+        spl = self.sectors_per_line
+        index = self._index
+        size = min(max((line + 1) * spl, 2 * index.size, 1024 * spl),
+                   self._sector_limit)
+        grown = np.empty(size, dtype=np.intp)
+        grown[:index.size] = index
+        grown.reshape(-1, spl)[index.size // spl:] = (
+            self._absent * spl + np.arange(spl))
+        self._index = grown
+        self._index_mv = memoryview(grown)
+        occupied = np.flatnonzero(self._stamp[:self._absent] > 0)
+        tags = self._tag[occupied]
+        new = tags >= index.size // spl
+        self._point(tags[new], occupied[new])
+
+    def _point(self, lines: np.ndarray, slots: np.ndarray) -> None:
+        """Index ``lines`` at ``slots`` (``self._absent`` drops them);
+        lines the index does not cover are skipped."""
+        spl = self.sectors_per_line
+        index = self._index.reshape(-1, spl)
+        inside = (lines >= 0) & (lines < index.shape[0])
+        index[lines[inside]] = slots[inside, None] * spl + np.arange(spl)
+
+    def _ways(self, sets: np.ndarray) -> np.ndarray:
+        """Every slot of ``sets``, set by set."""
+        return (sets[:, None] * self.assoc
+                + np.arange(self.assoc)).reshape(-1)
+
+    def _occupied(self, sets: np.ndarray) -> np.ndarray:
+        """Occupied slots of ``sets`` (ascending), oldest first in each."""
+        slots = self._ways(sets)
+        slots = slots[self._stamp[slots] > 0]
+        return slots[np.lexsort((self._stamp[slots],
+                                 _floordiv(slots, self.assoc)))]
+
+    def _clear_sets(self, sets: np.ndarray) -> None:
+        """Empty every way of ``sets`` (no write-back counted)."""
+        slots = self._ways(sets)
+        old = self._tag[slots[self._stamp[slots] > 0]]
+        self._point(old, np.full(old.size, self._absent))
+        self._stamp[slots] = 0
+        spl = self.sectors_per_line
+        self._valid.reshape(-1, spl)[slots] = False
+        self._dirty.reshape(-1, spl)[slots] = False
+
+    def _put(self, slots: np.ndarray, tags: np.ndarray,
+             stamps: np.ndarray, valid: Optional[np.ndarray] = None,
+             dirty: Optional[np.ndarray] = None) -> None:
+        """Place lines ``tags`` in the free ``slots``, with per-sector
+        ``valid``/``dirty`` rows (none set when omitted)."""
+        self._tag[slots] = tags
+        self._stamp[slots] = stamps
+        if valid is not None:
+            spl = self.sectors_per_line
+            self._valid.reshape(-1, spl)[slots] = valid
+            self._dirty.reshape(-1, spl)[slots] = dirty
+        self._point(tags, slots)
 
     # ------------------------------------------------------------------
     # core scalar access path (the oracle)
@@ -349,53 +406,60 @@ class CacheSim:
         if is_write and bypass:
             self._bypass_store(addr, size)
             return
-        set_idx, tag, sector = self._split(addr)
-        cache_set = self._sets[set_idx]
-        line = cache_set.get(tag)
-        sector_bit = 1 << sector
+        sid = addr // self.granule
+        index = self._index_mv  # _find's common case, inline
+        key = index[sid] if 0 <= sid < len(index) else self._find(sid)
+        slot = key // self.sectors_per_line
         self._clock += 1
-        if line is not None and line.valid_mask & sector_bit:
+        if self._valid_mv[key]:
             # sector hit; LRU refreshes recency, FIFO does not.
             if self.policy == "lru":
-                line.last_use = self._clock
+                self._stamp_mv[slot] = self._clock
             if is_write:
-                line.dirty_mask |= sector_bit
+                self._dirty_mv[key] = True
             self.stats_hits += 1
             return
         self.stats_misses += 1
-        self._res_stale = True
-        if line is None:
-            line = self._install(cache_set, tag)
+        if slot == self._absent:
+            line, sector = divmod(sid, self.sectors_per_line)
+            key = self._install(line) * self.sectors_per_line + sector
         elif self.policy == "lru":
-            line.last_use = self._clock
+            self._stamp_mv[slot] = self._clock
         # Demand fetch of the missing sector (read-for-ownership applies
         # to write-allocate stores as well — this is the "read per
         # write" the paper observes for cached stores).
         self.traffic.read_bytes += self.granule
-        line.valid_mask |= sector_bit
+        self._valid_mv[key] = True
         if is_write:
-            line.dirty_mask |= sector_bit
+            self._dirty_mv[key] = True
 
-    def _install(self, cache_set: Dict[int, _Line], tag: int) -> _Line:
-        """Insert a new line, evicting the stalest line if the set is
-        full (minimum effective recency stamp: LRU victim under "lru",
-        oldest install under "fifo")."""
-        if len(cache_set) >= self.assoc:
-            victim_tag = min(
-                cache_set,
-                key=lambda t: self._effective_last_use(t, cache_set[t]),
-            )
-            self._write_back(cache_set.pop(victim_tag))
-        line = _Line()
-        line.last_use = self._clock
-        cache_set[tag] = line
-        return line
+    def _install(self, line: int) -> int:
+        """Put ``line`` in its set's way with the smallest stamp (a free
+        way, else the LRU victim under "lru" or the oldest install
+        under "fifo"), writing back the line it evicts."""
+        stamp = self._stamp_mv
+        base = (line % self.n_sets) * self.assoc
+        slot = min(range(base, base + self.assoc), key=stamp.__getitem__)
+        if stamp[slot]:
+            valid, dirty = self._valid_mv, self._dirty_mv
+            spl = self.sectors_per_line
+            for k in range(slot * spl, slot * spl + spl):
+                if dirty[k]:
+                    self.traffic.write_bytes += self.granule
+                valid[k] = dirty[k] = False
+            self._point_one(self._tag.item(slot), self._absent)
+        self._tag[slot] = line
+        stamp[slot] = self._clock
+        self._point_one(line, slot)
+        return slot
 
-    def _write_back(self, line: _Line) -> None:
-        mask = line.dirty_mask
-        while mask:
-            mask &= mask - 1  # clear lowest set bit; one sector written
-            self.traffic.write_bytes += self.granule
+    def _point_one(self, line: int, slot: int) -> None:
+        """:meth:`_point` for one line, at scalar cost."""
+        spl = self.sectors_per_line
+        index = self._index_mv
+        if 0 <= line * spl < len(index):
+            for k in range(spl):
+                index[line * spl + k] = slot * spl + k
 
     # ------------------------------------------------------------------
     # streaming (cache-bypassing) stores
@@ -539,45 +603,35 @@ class CacheSim:
         entry's pre-access (resident, dirty) state and returns the
         two arrays, ordered by entry position.
 
-        Watched-state extraction rides the existing chunk
-        classification: in eviction-free sets residency only grows
-        and dirty bits only accrue, so pre-state is ``state at chunk
-        entry OR touched/written earlier in the chunk`` (two gathers
-        plus a prefix scan over the watched sectors' touches);
-        turbulent sets get it from the exact replay. Dirty bits at
-        chunk entry come from a dirty bitmap that exists only while a
-        watched batch runs.
+        Watched-state extraction rides the chunk classification: in a
+        calm set residency only grows and dirty bits only accrue, so
+        pre-state is ``state at chunk entry OR touched/written earlier
+        in the chunk`` (two gathers plus a prefix scan over the
+        watched sectors' touches); turbulent sets get it from the
+        exact replay.
         """
         sec = _floordiv(c_addr, self.granule)
-        lo = int(sec.min())
-        hi = int(sec.max())
-        use_bitmap = lo >= 0 and hi < BITMAP_SECTOR_LIMIT
-        if use_bitmap:
-            self._ensure_residency(hi)
-            self._ensure_lu_overlay(hi // self.sectors_per_line)
-        else:
-            # Sectors outside the bitmap's window: the replays keep
-            # the bitmap only while it is fresh, so rebuild it later.
-            self._res_stale = True
+        spl = self.sectors_per_line
+        top = int(sec.max())
+        indexed = int(sec.min()) >= 0 and top < self._sector_limit
+        if indexed and top >= self._index.size:
+            self._grow_index(top // spl)
         res_out = dirty_out = None
         if watch is not None:
             n_watched = int(watch.sum())
             res_out = np.empty(n_watched, dtype=bool)
             dirty_out = np.empty(n_watched, dtype=bool)
-            if use_bitmap:
-                self._ensure_dirty(hi)
-                self._dirty_active = True
         replay = (self._replay_lru if self.policy == "lru"
                   else self._replay_fifo)
         wbase = 0
         # Entry i is stamped t0 + i: the clock value the scalar path
         # would give it (it advances the clock before stamping).
         t0 = self._clock + 1
-        hits = 0
-        spl = self.sectors_per_line
+        hits = misses = 0
         for start in range(0, sec.size, chunk_size):
             chunk = sec[start:start + chunk_size]
             w = c_write[start:start + chunk_size]
+            pos0 = t0 + start
             wpos = None
             if watch is not None:
                 cw_mask = watch[start:start + chunk_size]
@@ -585,84 +639,43 @@ class CacheSim:
                     wpos = np.flatnonzero(cw_mask)
                     slot0 = wbase
                     wbase += wpos.size
-            lines = _floordiv(chunk, spl)
-            if not use_bitmap:
-                # No residency bitmap → the whole chunk replays
-                # exactly, watched entries included.
-                pos = t0 + start + np.arange(chunk.size, dtype=np.int64)
-                out = replay(chunk, w, pos, lines, _mod(lines, self.n_sets),
-                             None if wpos is None else cw_mask)
-                if wpos is None:
-                    hits += out
-                else:
-                    hits += out[0]
-                    slots = slot0 + np.searchsorted(wpos, out[1])
-                    res_out[slots] = out[2]
-                    dirty_out[slots] = out[3]
-                continue
-            resident = self._res_bitmap[chunk]
-            if wpos is not None:
-                # Entry-state gathers must precede any mutation below.
-                ent_res = resident[wpos]
-                ent_dirty = self._dirty_bitmap[chunk[wpos]]
-            if resident.all():
-                hits += chunk.size
-                self._apply_dirty(chunk, w, None)
-                self._scatter_recency(lines, t0 + start)
+            if indexed:
+                key = self._index[chunk]
+                resident = self._valid[key]
                 if wpos is not None:
-                    _, e_write = _prefix_state(chunk, w, wpos)
-                    res_out[slot0:slot0 + wpos.size] = True
-                    dirty_out[slot0:slot0 + wpos.size] = ent_dirty | e_write
-                continue
-            # Only the first touch of a non-resident sector can miss in
-            # a set that cannot evict: it installs the sector, and with
-            # no eviction residency only grows, so every later touch in
-            # the chunk hits. Their lines tell which sets could evict.
-            nr_idx = np.flatnonzero(~resident)
-            first = self._first_touch(chunk[nr_idx])
-            fresh = nr_idx[first]
-            later = nr_idx[~first]
-            new_lines = lines[fresh]
-            new_lines = new_lines[self._first_touch(new_lines)]
-            new_counts = np.bincount(_mod(new_lines, self.n_sets),
-                                     minlength=self.n_sets)
-            new_sets = np.flatnonzero(new_counts)
-            sets_local = self._sets
-            assoc = self.assoc
-            evicting = [
-                s for s, c in zip(new_sets.tolist(),
-                                  new_counts[new_sets].tolist())
-                if len(sets_local[s]) + c > assoc
-            ]
-            calm_w = None
-            if evicting:
-                # Sets where an eviction could occur replay in full;
-                # elsewhere only the first touches replay.
-                turb_dense = np.zeros(self.n_sets, dtype=bool)
-                turb_dense[evicting] = True
-                turb = turb_dense[_mod(lines, self.n_sets)]
-                later = later[~turb[later]]
-                sel = turb.copy()
-                sel[fresh[~turb[fresh]]] = True
-                r_idx = np.flatnonzero(sel)
-                calm_sel = resident & ~turb
-                hits += int(np.count_nonzero(calm_sel))
-                self._apply_dirty(chunk, w, calm_sel)
-                r_watch = None
+                    # Entry-state gathers must precede any mutation.
+                    ent_res = resident[wpos]
+                    ent_dirty = self._dirty[key[wpos]]
+                turb, n_fresh = None, 0
+                if not resident.all():
+                    turb, fresh = self._settle(chunk, key, resident, pos0)
+                    # Lines that took free ways now have slots.
+                    key = self._index[chunk]
+                    self._valid[key[fresh]] = True
+                    n_fresh = fresh.size
+                calm = None if turb is None else np.flatnonzero(~turb)
+                misses += n_fresh
+                hits += (chunk.size if calm is None else calm.size) - n_fresh
+                self._touch(key, w, pos0, calm)
                 if wpos is not None:
-                    r_watch = cw_mask[r_idx] & turb[r_idx]
-                    calm_w = np.flatnonzero(~turb[wpos])
+                    calm_w = (np.arange(wpos.size) if turb is None
+                              else np.flatnonzero(~turb[wpos]))
+                    if calm_w.size:
+                        e_touch, e_write = _prefix_state(chunk, w,
+                                                         wpos[calm_w])
+                        slots = slot0 + calm_w
+                        res_out[slots] = ent_res[calm_w] | e_touch
+                        dirty_out[slots] = ent_dirty[calm_w] | e_write
+                if turb is None:
+                    continue
+                r_idx = np.flatnonzero(turb)
             else:
-                r_idx = fresh
-                hits += chunk.size - nr_idx.size
-                self._apply_dirty(chunk, w, resident)
-                r_watch = None
-                if wpos is not None:
-                    calm_w = np.arange(wpos.size)
-            hits += later.size
-            out = replay(chunk[r_idx], w[r_idx], t0 + start + r_idx,
-                         lines[r_idx], _mod(lines[r_idx], self.n_sets),
-                         r_watch)
+                # Outside the index window every set replays.
+                r_idx = np.arange(chunk.size)
+            r_watch = None if wpos is None else cw_mask[r_idx]
+            lines = _floordiv(chunk[r_idx], spl)
+            out = replay(chunk[r_idx], w[r_idx], pos0 + r_idx, lines,
+                         _mod(lines, self.n_sets), r_watch)
             if r_watch is None:
                 hits += out
             else:
@@ -670,81 +683,114 @@ class CacheSim:
                 slots = slot0 + np.searchsorted(wpos, r_idx[out[1]])
                 res_out[slots] = out[2]
                 dirty_out[slots] = out[3]
-            if calm_w is not None and calm_w.size:
-                e_touch, e_write = _prefix_state(chunk, w, wpos[calm_w])
-                slots = slot0 + calm_w
-                res_out[slots] = ent_res[calm_w] | e_touch
-                dirty_out[slots] = ent_dirty[calm_w] | e_write
-            if later.size:
-                # Later touches of freshly installed sectors: hits
-                # whose dirty bits need the lines the replay made.
-                self._apply_dirty(chunk[later], w[later], None)
-            # Recency scatter strictly AFTER the replays, which read
-            # the overlay as the stamps at chunk entry.
-            self._scatter_recency(lines, t0 + start)
         self._clock = t0 + sec.size - 1
         self.stats_hits += hits
+        self.stats_misses += misses
+        self.traffic.read_bytes += misses * self.granule
         if watch is not None:
-            self._dirty_active = False
             return res_out, dirty_out
         return None
 
+    def _settle(self, chunk, key, resident, pos0):
+        """Split a chunk's sets into calm and turbulent ones, and give
+        the calm sets' new lines free ways.
+
+        In a set that cannot evict, only the first touch of a
+        non-resident sector misses, and a line not resident takes a
+        free way at its first touch; so a set evicts iff it has fewer
+        free ways than such new lines. Returns the mask of turbulent
+        entries (None if every set is calm) and the calm sets' misses
+        (entry indices).
+        """
+        spl = self.sectors_per_line
+        nr_idx = np.flatnonzero(~resident)
+        fresh = nr_idx[self._first_touch(chunk[nr_idx])]
+        new = fresh[key[fresh] >= self._absent * spl]
+        new_lines = _floordiv(chunk[new], spl)
+        first = self._first_touch(new_lines)
+        new, new_lines = new[first], new_lines[first]
+        turb = self._overfull(_mod(new_lines, self.n_sets))
+        if turb is not None:
+            turb = turb[_mod(_floordiv(chunk, spl), self.n_sets)]
+            calm = ~turb[new]
+            fresh = fresh[~turb[fresh]]
+            new, new_lines = new[calm], new_lines[calm]
+        if new.size:
+            self._fill(new_lines, pos0 + new)
+        return turb, fresh
+
     def _first_touch(self, keys: np.ndarray) -> np.ndarray:
-        """Mask of the entries of ``keys`` (non-negative, below the
-        residency bitmap's size) that hold their key's first
-        occurrence. A reverse-order scatter of entry indices into an
-        int32 scratch leaves each key's first index; no sort."""
+        """Mask of the entries of ``keys`` (sector or line ids inside
+        the index window) that hold their key's first occurrence. A
+        reverse-order scatter of entry indices into an int32 scratch
+        leaves each key's first index; no sort."""
         scratch = self._scratch
-        if scratch is None or scratch.size < self._res_bitmap.size:
-            scratch = self._scratch = np.empty(self._res_bitmap.size,
+        if scratch is None or scratch.size < self._index.size:
+            scratch = self._scratch = np.empty(self._index.size,
                                                dtype=np.int32)
         idx = np.arange(keys.size, dtype=np.int32)
         scratch[keys[::-1]] = idx[::-1]
         return scratch[keys] == idx
 
-    def _scatter_recency(self, lines: np.ndarray, base: int) -> None:
-        """Record this chunk's touch times in the dense last_use
-        overlay. With duplicate indices NumPy keeps the last value
-        written — the latest touch of each line, which is exactly LRU
-        recency; replayed lines also stamp the line directly and
-        max-reconciliation picks the later of the two. FIFO never
-        refreshes recency, so it skips the scatter."""
-        if self.policy == "lru":
-            self._lu_dense[lines] = \
-                base + np.arange(lines.size, dtype=np.int64)
+    def _overfull(self, new_sets: np.ndarray) -> Optional[np.ndarray]:
+        """Dense mask of the sets with fewer free ways than new lines
+        (one entry of ``new_sets`` per new line), or None if none."""
+        if not new_sets.size:
+            return None
+        counts = np.bincount(new_sets, minlength=self.n_sets)
+        sets = np.flatnonzero(counts)
+        free = np.count_nonzero(
+            self._stamp[self._ways(sets)].reshape(sets.size, -1) == 0,
+            axis=1)
+        over = sets[counts[sets] > free]
+        if not over.size:
+            return None
+        mask = np.zeros(self.n_sets, dtype=bool)
+        mask[over] = True
+        return mask
 
-    def _apply_dirty(self, sec: np.ndarray, w: np.ndarray,
-                     select: Optional[np.ndarray]) -> None:
-        """OR dirty bits into resident lines for written hit accesses
-        (``select`` restricts to the non-replayed subset)."""
-        if not w.any():
-            return
-        written = w if select is None else (w & select)
-        if self._dirty_active:
-            self._dirty_bitmap[sec[written]] = True
-        spl = self.sectors_per_line
-        for sid in np.unique(sec[written]).tolist():
-            tag = sid // spl
-            line = self._sets[tag % self.n_sets][tag]
-            line.dirty_mask |= 1 << (sid % spl)
+    def _fill(self, new_lines: np.ndarray, stamps: np.ndarray) -> None:
+        """Install distinct absent lines, stamped ``stamps``, in free
+        ways: the i-th new line of a set takes its i-th free way."""
+        sets = _mod(new_lines, self.n_sets)
+        order = np.argsort(sets, kind="stable")
+        sets = sets[order]
+        free = np.flatnonzero(self._stamp[:self._absent] == 0)
+        rank = np.arange(sets.size) - np.searchsorted(sets, sets)
+        slots = free[np.searchsorted(_floordiv(free, self.assoc), sets)
+                     + rank]
+        self._put(slots, new_lines[order], stamps[order])
+
+    def _touch(self, key: np.ndarray, w: np.ndarray, pos0: int,
+               calm: Optional[np.ndarray]) -> None:
+        """Dirty bits of the written entries ``calm`` (all when None),
+        then under LRU their lines' recency: one scatter each. A slot
+        touched twice keeps the last value written, its latest touch.
+        Overwrites ``key`` (a chunk's largest temporary, dead here)."""
+        if calm is not None:
+            key, w = key[calm], w[calm]
+        self._dirty[key[w]] = True
+        if self.policy == "lru":
+            pos = (np.arange(pos0, pos0 + key.size) if calm is None
+                   else pos0 + calm)
+            self._stamp[_floordiv(key, self.sectors_per_line, out=key)] = pos
 
     def _replay_lru(self, sec, w, pos, lines, sets_arr, watch=None):
         """Replay entries exactly under LRU, by reuse distance.
 
-        The inputs hold, for each set they touch, either every entry
-        of the chunk or (in a set that cannot evict) its first touches
-        of non-resident sectors. Entries are ordered by set, program
-        order within a set, and each touched set's resident lines are
-        prepended oldest-first by effective stamp. A line-run (maximal
-        block of one line's entries) then hits iff fewer than
-        ``assoc`` distinct lines lie between it and its line's
-        previous run (Mattson's stack property; :func:`_fewer_distinct`
-        decides the long windows). A miss starts a line lifetime and
-        hits continue it. A sector is valid from its first touch in a
-        lifetime, or from the start for a prepended line's valid
-        sectors, so fetches, dirty bits, write-backs, the lines left
-        resident and watched pre-states all follow with array ops.
-        Python reads and writes ``_sets`` once per touched set
+        The inputs hold every entry of a chunk in each set they touch.
+        Entries are ordered by set, program order within a set, and
+        each touched set's resident lines are prepended oldest-first
+        by stamp. A line-run (maximal block of one line's entries)
+        then hits iff fewer than ``assoc`` distinct lines lie between
+        it and its line's previous run (Mattson's stack property;
+        :func:`_fewer_distinct` decides the long windows). A miss
+        starts a line lifetime and hits continue it. A sector is valid
+        from its first touch in a lifetime, or from the start for a
+        prepended line's valid sectors, so fetches, dirty bits,
+        write-backs, the lines left resident and watched pre-states
+        all follow with array ops. The touched sets' rows are read
+        from the state arrays and written back with one scatter each
         (DESIGN.md §6.1).
 
         Returns the number of hits; with ``watch`` (boolean mask over
@@ -772,24 +818,12 @@ class CacheSim:
         r_set = _mod(r_line, n_sets)
         m = r_line.size
 
-        # The touched sets' resident lines, read once, oldest first.
+        # The touched sets' resident lines, oldest first.
         touched = r_set[np.append(0, np.flatnonzero(np.diff(r_set)) + 1)]
-        sets_local = self._sets
-        objs: List[_Line] = []
-        tags: List[int] = []
-        for s in touched.tolist():
-            tags += sets_local[s].keys()
-            objs += sets_local[s].values()
-        k = len(tags)
-        p_line = np.array(tags, dtype=np.int64)
-        p_raw = np.array([o.last_use for o in objs], dtype=np.int64)
-        p_stamp = p_raw.copy()
-        lud = self._lu_dense
-        if lud is not None and k:
-            inr = np.flatnonzero((p_line >= 0) & (p_line < lud.size))
-            p_stamp[inr] = np.maximum(p_stamp[inr], lud[p_line[inr]])
-        po = np.lexsort((p_stamp, _mod(p_line, n_sets)))
-        p_line = p_line[po]
+        p_slot = self._occupied(touched)
+        k = p_slot.size
+        p_line = self._tag[p_slot]
+        p_stamp = self._stamp[p_slot]
         p_set = _mod(p_line, n_sets)
 
         # Combined run sequence: per set, prepended lines, then runs.
@@ -831,24 +865,20 @@ class CacheSim:
         c_life[by_line] = np.cumsum(~hit, dtype=np.int32) - 1
         n_life = int(c_life[by_line[-1]]) + 1
         del by_line, hit
-        life_line = np.empty(n_life, dtype=np.int64)
-        life_line[c_life] = c_line
 
         # Sector state per (lifetime, sector) key.
-        nk = n_life * spl
         key = c_life[real_ci][run_of] * spl
         key += _mod(sec[order], spl)
         del run_of
-        init_v = np.zeros(nk, dtype=bool)
-        init_d = np.zeros(nk, dtype=bool)
-        p_key = c_life[pseudo_ci].astype(np.int64) * spl
-        p_valid = np.array([o.valid_mask for o in objs], np.int64)[po]
-        p_dirty = np.array([o.dirty_mask for o in objs], np.int64)[po]
-        for b in range(spl):
-            init_v[p_key + b] = (p_valid >> b) & 1
-            init_d[p_key + b] = (p_dirty >> b) & 1
+        init_v = np.zeros((n_life, spl), dtype=bool)
+        init_d = np.zeros((n_life, spl), dtype=bool)
+        p_life = c_life[pseudo_ci]
+        init_v[p_life] = self._valid.reshape(-1, spl)[p_slot]
+        init_d[p_life] = self._dirty.reshape(-1, spl)[p_slot]
+        init_v = init_v.reshape(-1)
+        init_d = init_d.reshape(-1)
         idx = np.arange(n, dtype=np.int32)
-        first = np.empty(nk, dtype=np.int32)
+        first = np.empty(n_life * spl, dtype=np.int32)
         first[key[::-1]] = idx[::-1]
         hit_e = init_v[key]
         hit_e |= first[key] < idx
@@ -868,40 +898,25 @@ class CacheSim:
         l_set = _mod(c_line[last], n_sets)
         rank = (np.searchsorted(l_set, l_set, side="right") - 1
                 - np.arange(last.size))
-        res_ci = last[rank < assoc]
+        kept = rank < assoc
+        res_ci = last[kept]
         res_life = c_life[res_ci]
         ended = np.ones(n_life, dtype=bool)
         ended[res_life] = False
         writebacks = int(np.count_nonzero(dirty[ended]))
-        for bmp, bits in ((self._res_bitmap, valid),
-                          (self._dirty_bitmap if self._dirty_active
-                           else None, dirty)):
-            if bmp is None or self._res_stale:
-                continue
-            sids = life_line[:, None] * spl + np.arange(spl)
-            for sel, value in ((ended, False), (res_life, True)):
-                sid = sids[sel][bits[sel]]
-                bmp[sid[(sid >= 0) & (sid < bmp.size)]] = value
 
-        # Write the touched sets back: each kept line with its final
-        # masks, stamped with its last entry's position (an untouched
-        # line keeps its stamp).
+        # Write the touched sets back: each kept line, in the way of its
+        # recency rank, with its final masks, stamped with its last
+        # entry's position (an untouched line keeps its stamp).
         c_src = np.empty(t, dtype=np.int64)
         c_src[real_ci] = r_end
         c_src[pseudo_ci] = -1 - np.arange(k)
         src = c_src[res_ci]
         stamp = np.where(src >= 0, pos[order[np.maximum(src, 0)]],
-                         p_raw[po[np.maximum(-1 - src, 0)]] if k else 0)
-        weights = 1 << np.arange(spl)
-        kept = list(map(_Line, (valid[res_life] @ weights).tolist(),
-                        (dirty[res_life] @ weights).tolist(),
-                        stamp.tolist()))
-        res_tags = c_line[res_ci].tolist()
-        cuts = np.searchsorted(l_set[rank < assoc], touched).tolist()
-        for s, a, b in zip(touched.tolist(), cuts, cuts[1:] + [len(kept)]):
-            cache_set = sets_local[s]
-            cache_set.clear()
-            cache_set.update(zip(res_tags[a:b], kept[a:b]))
+                         p_stamp[np.maximum(-1 - src, 0)] if k else 0)
+        self._clear_sets(touched)
+        self._put(l_set[kept] * assoc + rank[kept], c_line[res_ci], stamp,
+                  valid[res_life], dirty[res_life])
         self.stats_misses += misses
         self.traffic.read_bytes += misses * self.granule
         self.traffic.write_bytes += writebacks * self.granule
@@ -921,13 +936,14 @@ class CacheSim:
     def _replay_fifo(self, sec, w, pos, lines, sets_arr, watch=None):
         """Replay entries exactly under FIFO, in per-set program order,
         one Python iteration per run of consecutive same-sector
-        entries. A FIFO hit does not refresh its line, so there is no
-        stack property to vectorize on; victims are the oldest install
-        stamp. Same inputs and returns as :meth:`_replay_lru`; a
-        watched entry's pre-state is its run head's state before the
-        head executed, promoted to resident for non-head members (the
-        head fetched the sector and only hits lie between) and to
-        dirty after an earlier same-run write.
+        entries, over the touched sets' rows read into lists and
+        written back once. A FIFO hit does not refresh its line, so
+        there is no stack property to vectorize on; victims are the
+        oldest install stamp. Same inputs and returns as
+        :meth:`_replay_lru`; a watched entry's pre-state is its run
+        head's state before the head executed, promoted to resident
+        for non-head members (the head fetched the sector and only
+        hits lie between) and to dirty after an earlier same-run write.
         """
         order = np.argsort(sets_arr, kind="stable")
         sec = sec[order]
@@ -963,58 +979,55 @@ class CacheSim:
                 need[runs_of] = True
                 run_res = np.zeros(starts.size, dtype=bool)
                 run_dirty = np.zeros(starts.size, dtype=bool)
-        sets_local = self._sets
-        bitmap = None if self._res_stale else self._res_bitmap
-        dbitmap = self._dirty_bitmap if self._dirty_active else None
         assoc = self.assoc
+        touched = run_set[np.append(0, np.flatnonzero(np.diff(run_set)) + 1)]
+        slots = self._ways(touched)
+        bits = np.arange(spl)
+        tags = self._tag[slots].tolist()
+        stamps = self._stamp[slots].tolist()
+        valid = (self._valid.reshape(-1, spl)[slots] @ (1 << bits)).tolist()
+        dirty = (self._dirty.reshape(-1, spl)[slots] @ (1 << bits)).tolist()
+        # Line -> position in the lists, and each run's set's first one.
+        where = {tag: i for i, (tag, stamp) in enumerate(zip(tags, stamps))
+                 if stamp}
+        run_base = np.searchsorted(touched, run_set) * assoc
         hits = 0
         misses = 0
         writebacks = 0
-        for ri, (sid, tag, st, sct, anyw, ln, hp) in enumerate(zip(
-                run_sec.tolist(), run_tag.tolist(), run_set.tolist(),
-                run_sector.tolist(), any_w.tolist(), lengths.tolist(),
-                head_pos.tolist())):
-            cache_set = sets_local[st]
-            line = cache_set.get(tag)
+        for ri, (tag, base, sct, anyw, ln, hp) in enumerate(zip(
+                run_tag.tolist(), run_base.tolist(), run_sector.tolist(),
+                any_w.tolist(), lengths.tolist(), head_pos.tolist())):
+            i = where.get(tag)
             bit = 1 << sct
-            if line is not None and line.valid_mask & bit:
+            if i is not None and valid[i] & bit:
                 if watching and need[ri]:
                     run_res[ri] = True
-                    run_dirty[ri] = bool(line.dirty_mask & bit)
+                    run_dirty[ri] = bool(dirty[i] & bit)
                 hits += ln
                 if anyw:
-                    line.dirty_mask |= bit
-                    if dbitmap is not None:
-                        dbitmap[sid] = True
+                    dirty[i] |= bit
                 continue
             # Head access misses; the rest of the run hits the sector
             # the head just fetched.
             misses += 1
             hits += ln - 1
-            if line is None:
-                if len(cache_set) >= assoc:
-                    victim_tag = None
-                    for t, cand in cache_set.items():
-                        lu = cand.last_use
-                        if victim_tag is None or lu < victim_lu:
-                            victim_tag = t
-                            victim_lu = lu
-                    victim = cache_set.pop(victim_tag)
-                    mask = victim.dirty_mask
-                    writebacks += bin(mask).count("1")
-                    for bmp, bits in ((bitmap, victim.valid_mask),
-                                      (dbitmap, mask)):
-                        if bmp is not None:
-                            _clear_sectors(bmp, victim_tag * spl, bits)
-                line = _Line(last_use=hp)
-                cache_set[tag] = line
-            line.valid_mask |= bit
+            if i is None:
+                i = min(range(base, base + assoc), key=stamps.__getitem__)
+                if stamps[i]:
+                    writebacks += bin(dirty[i]).count("1")
+                    del where[tags[i]]
+                tags[i], stamps[i], valid[i], dirty[i] = tag, hp, 0, 0
+                where[tag] = i
+            valid[i] |= bit
             if anyw:
-                line.dirty_mask |= bit
-                if dbitmap is not None:
-                    dbitmap[sid] = True
-            if bitmap is not None:
-                bitmap[sid] = True
+                dirty[i] |= bit
+        stamps = np.array(stamps, dtype=np.int64)
+        kept = stamps > 0
+        self._clear_sets(touched)
+        self._put(slots[kept], np.array(tags, dtype=np.int64)[kept],
+                  stamps[kept],
+                  (np.array(valid)[kept, None] >> bits) & 1 == 1,
+                  (np.array(dirty)[kept, None] >> bits) & 1 == 1)
         self.stats_misses += misses
         self.traffic.read_bytes += misses * self.granule
         self.traffic.write_bytes += writebacks * self.granule
@@ -1069,62 +1082,6 @@ class CacheSim:
                     self._bypass_store(sa, sz)
         self.traffic.write_bytes += emitted * granule
 
-    # -- residency / recency maintenance -------------------------------
-    def _ensure_residency(self, max_sector: int) -> None:
-        """Guarantee the residency bitmap covers ``max_sector`` and
-        reflects the current line state."""
-        needed = max_sector + 1
-        bitmap = self._res_bitmap
-        if bitmap is None or self._res_stale or bitmap.size < needed:
-            capacity = max(needed,
-                           2 * (bitmap.size if bitmap is not None else 0))
-            if bitmap is not None and not self._res_stale:
-                grown = np.zeros(capacity, dtype=bool)
-                grown[:bitmap.size] = bitmap
-                self._res_bitmap = grown
-                return
-            self._res_bitmap = self._sector_bitmap(capacity, "valid_mask")
-            self._res_stale = False
-
-    def _ensure_dirty(self, max_sector: int) -> None:
-        """Rebuild the dirty bitmap from line state. Unlike the
-        residency bitmap it is not kept fresh between batches — each
-        watched batch rebuilds it, keeping every unwatched path free
-        of maintenance cost."""
-        self._dirty_bitmap = self._sector_bitmap(max_sector + 1,
-                                                 "dirty_mask")
-
-    def _sector_bitmap(self, size: int, mask_attr: str) -> np.ndarray:
-        """Bitmap over sector ids, at least ``size`` long, of the
-        sectors set in ``mask_attr`` of every resident line whose
-        sectors lie in the bitmap window (lines outside it, left by
-        scalar or no-bitmap calls, are never touched by a bitmap-mode
-        batch, and the replays skip them when they evict)."""
-        spl = self.sectors_per_line
-        marks = [(tag * spl, getattr(line, mask_attr))
-                 for cache_set in self._sets
-                 for tag, line in cache_set.items()
-                 if 0 <= tag * spl < BITMAP_SECTOR_LIMIT]
-        bitmap = np.zeros(max([size] + [b + spl for b, _ in marks]),
-                          dtype=bool)
-        for base, mask in marks:
-            while mask:
-                low = mask & -mask
-                bitmap[base + low.bit_length() - 1] = True
-                mask ^= low
-        return bitmap
-
-    def _ensure_lu_overlay(self, max_tag: int) -> None:
-        needed = max_tag + 1
-        lud = self._lu_dense
-        if lud is None:
-            self._lu_dense = np.zeros(
-                max(needed, 1024), dtype=np.int64)
-        elif lud.size < needed:
-            grown = np.zeros(max(needed, 2 * lud.size), dtype=np.int64)
-            grown[:lud.size] = lud
-            self._lu_dense = grown
-
     # ------------------------------------------------------------------
     # bulk helpers used by the exact engine
     # ------------------------------------------------------------------
@@ -1147,37 +1104,23 @@ class CacheSim:
     def flush(self) -> None:
         """Write back all dirty data and invalidate the cache; drain the
         write-combining buffer. Counts write-back traffic."""
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                self._write_back(line)
-            cache_set.clear()
-        for _ in list(self._wcb):
-            self.traffic.write_bytes += self.granule
-        self._wcb.clear()
-        self._res_stale = True
+        self.traffic.write_bytes += (
+            int(np.count_nonzero(self._dirty)) * self.granule)
+        self.traffic.write_bytes += len(self._wcb) * self.granule
+        self.invalidate()
 
     def invalidate(self) -> None:
         """Drop all cache state *without* counting write-back traffic
         (used between independent experiment repetitions)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._clear_sets(np.arange(self.n_sets))
         self._wcb.clear()
-        self._res_stale = True
 
     def resident_bytes(self) -> int:
         """Bytes of valid data currently resident (sector granularity)."""
-        total = 0
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                total += bin(line.valid_mask).count("1") * self.granule
-        return total
+        return int(np.count_nonzero(self._valid)) * self.granule
 
     def dirty_bytes(self) -> int:
-        total = 0
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                total += bin(line.dirty_mask).count("1") * self.granule
-        return total
+        return int(np.count_nonzero(self._dirty)) * self.granule
 
     def probe(self, addr: int, size: int) -> List[Tuple[bool, bool]]:
         """Per-sector ``(resident, dirty)`` state of a span *without*
@@ -1194,12 +1137,9 @@ class CacheSim:
         end = addr + size
         while addr < end:
             sector_end = (addr // self.granule + 1) * self.granule
-            set_idx, tag, sector = self._split(addr)
-            line = self._sets[set_idx].get(tag)
-            bit = 1 << sector
-            resident = line is not None and bool(line.valid_mask & bit)
-            dirty = resident and bool(line.dirty_mask & bit)
-            out.append((resident, dirty))
+            key = self._find(addr // self.granule)
+            # A dirty sector is always valid; the absent row is neither.
+            out.append((bool(self._valid[key]), bool(self._dirty[key])))
             addr = min(end, sector_end)
         return out
 
@@ -1216,15 +1156,16 @@ class CacheSim:
         stalest to most recent. Two simulators that processed the same
         trace — by any mix of scalar and batch calls — snapshot equal.
         """
+        slots = self._occupied(np.arange(self.n_sets))
+        spl = self.sectors_per_line
+        weights = 1 << np.arange(spl)
         out: Dict[int, List[Tuple[int, int, int]]] = {}
-        for idx, cache_set in enumerate(self._sets):
-            if cache_set:
-                ordered = sorted(
-                    cache_set.items(),
-                    key=lambda kv: self._effective_last_use(kv[0], kv[1]),
-                )
-                out[idx] = [(tag, line.valid_mask, line.dirty_mask)
-                            for tag, line in ordered]
+        for s, tag, valid, dirty in zip(
+                _floordiv(slots, self.assoc).tolist(),
+                self._tag[slots].tolist(),
+                (self._valid.reshape(-1, spl)[slots] @ weights).tolist(),
+                (self._dirty.reshape(-1, spl)[slots] @ weights).tolist()):
+            out.setdefault(s, []).append((tag, valid, dirty))
         return out
 
     def reset_traffic(self) -> TrafficCounters:

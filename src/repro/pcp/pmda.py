@@ -16,6 +16,7 @@ import abc
 from typing import Dict, List, Tuple
 
 from ..errors import PCPError
+from ..machine.nest import NestCounterBlock
 from ..machine.node import Node
 from ..pmu.events import pcp_metric_name, socket_instance_cpu
 
@@ -127,13 +128,22 @@ class PerfeventPMDA(PMDA):
     def __init__(self, node: Node, domain: int = DEFAULT_DOMAIN):
         super().__init__("perfevent", domain)
         self.node = node
-        self._metrics: Dict[int, Tuple[int, bool]] = {}
+        # Per PMID, resolved once: the event name and every socket's
+        # (instance name, nest block), so a fetch formats no strings.
+        self._metrics: Dict[
+            int, Tuple[str, List[Tuple[str, NestCounterBlock]]]] = {}
         self._names: List[Tuple[str, int]] = []
+        instances = [
+            (f"cpu{socket_instance_cpu(node.config, socket.socket_id)}",
+             socket.nest)
+            for socket in node.sockets]
         item = 0
         for channel in range(node.config.socket.n_memory_channels):
             for write in (False, True):
                 pmid = make_pmid(domain, item)
-                self._metrics[pmid] = (channel, write)
+                direction = "WRITE" if write else "READ"
+                self._metrics[pmid] = (
+                    f"PM_MBA{channel}_{direction}_BYTES", instances)
                 self._names.append((pcp_metric_name(channel, write), pmid))
                 item += 1
 
@@ -143,15 +153,10 @@ class PerfeventPMDA(PMDA):
 
     def fetch(self, pmid: int) -> Dict[str, int]:
         try:
-            channel, write = self._metrics[pmid]
+            event, instances = self._metrics[pmid]
         except KeyError:
             raise PCPError(f"perfevent PMDA does not serve pmid {pmid}") from None
-        direction = "WRITE" if write else "READ"
-        event = f"PM_MBA{channel}_{direction}_BYTES"
-        values: Dict[str, int] = {}
-        for socket in self.node.sockets:
-            instance = f"cpu{socket_instance_cpu(self.node.config, socket.socket_id)}"
-            # The PMDA holds the privileged handle — this read succeeds
-            # even though the *user* on Summit is unprivileged.
-            values[instance] = socket.nest.read_event(event, privileged=True)
-        return values
+        # The PMDA holds the privileged handle — this read succeeds
+        # even though the *user* on Summit is unprivileged.
+        return {instance: nest.read_event(event, privileged=True)
+                for instance, nest in instances}

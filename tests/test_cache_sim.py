@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.kernels.blas import Gemm
 from repro.machine.cache import CacheSim, TrafficCounters
 from repro.machine.config import CacheConfig
 
@@ -218,3 +221,130 @@ class TestBatchChunkSize:
             else:
                 c.access_batch(addr, size, w, chunk_size=chunk_size)
         assert state() == before
+
+
+# ----------------------------------------------------------------------
+# the sector index across the state's lifecycle
+# ----------------------------------------------------------------------
+#: Address ranges ``(base, span)``: inside the sector index's window, at
+#: a span wide enough to grow the index while lines are resident; below
+#: it; and far above it. "mixed" draws each row from inside or above,
+#: so one batch leaves the window yet installs lines inside it.
+_REGIONS = {
+    "inside": ((0, 1 << 12),),
+    "wide": ((0, 1 << 20),),
+    "below": ((-(1 << 14), 1 << 14),),
+    "above": ((1 << 45, 1 << 14),),
+    "mixed": ((0, 1 << 12), (1 << 45, 1 << 12)),
+}
+
+lifecycle_phase = st.tuples(
+    st.sampled_from(["scalar", "batch", "probed"]),
+    st.sampled_from(sorted(_REGIONS)),
+    st.sampled_from([None, "flush", "invalidate"]),
+)
+
+
+def _region_rows(rng, region, n):
+    ranges = _REGIONS[region]
+    pick = rng.integers(0, len(ranges), n)
+    base = np.array([b for b, _ in ranges])[pick]
+    span = np.array([s for _, s in ranges])[pick]
+    addr = base + rng.integers(0, 1 << 62, n) % span
+    return (addr.astype(np.int64), rng.integers(1, 65, n).astype(np.int64),
+            rng.random(n) < 0.4)
+
+
+def _lifecycle_state(sim, sectors):
+    return (sim.traffic.read_bytes, sim.traffic.write_bytes,
+            sim.stats_hits, sim.stats_misses, sim._clock, sim.snapshot(),
+            [sim.probe(a, 1)[0] for a in sectors])
+
+
+class TestIndexLifecycle:
+    """Scalar calls, batches and probed batches in phases, with flush()
+    and invalidate() between them, inside, below and far above the
+    sector index's window: after every phase the simulator must match a
+    scalar-only oracle, sector by sector."""
+
+    @given(phases=st.lists(lifecycle_phase, min_size=2, max_size=6),
+           seed=st.integers(0, 2**32 - 1),
+           policy=st.sampled_from(["lru", "fifo"]),
+           chunk=st.integers(5, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_oracle(self, phases, seed, policy, chunk):
+        cfg = CacheConfig(capacity_bytes=1024, associativity=2)  # 4 sets
+        rng = np.random.default_rng(seed)
+        oracle = CacheSim(cfg, policy=policy)
+        mixed = CacheSim(cfg, policy=policy)
+        sectors = set()
+        for mode, region, op in phases:
+            n = 40
+            addr, size, w = _region_rows(rng, region, n)
+            watch = np.flatnonzero(rng.random(n) < 0.3)
+            expect = []
+            for i in range(n):
+                a, sz = int(addr[i]), int(size[i])
+                if mode == "probed" and i in watch:
+                    expect += [(i, r, d) for r, d in oracle.probe(a, sz)]
+                oracle.access(a, sz, bool(w[i]))
+                sectors.update(range(a - a % 64, a + sz, 64))
+            if mode == "scalar":
+                for i in range(n):
+                    mixed.access(int(addr[i]), int(size[i]), bool(w[i]))
+            elif mode == "batch":
+                mixed.access_batch(addr, size, w, chunk_size=chunk)
+            else:
+                rows, res, dirty = mixed.access_batch_probed(
+                    addr, size, w, watch, chunk_size=chunk)
+                assert list(zip(rows.tolist(), res.tolist(),
+                                dirty.tolist())) == expect
+            for sim in (oracle, mixed):
+                if op is not None:
+                    getattr(sim, op)()
+            ordered = sorted(sectors)
+            assert (_lifecycle_state(mixed, ordered)
+                    == _lifecycle_state(oracle, ordered))
+
+
+# ----------------------------------------------------------------------
+# chunks that cannot evict retire without the replay
+# ----------------------------------------------------------------------
+class TestEvictionFreeChunks:
+    def _run(self, cfg, monkeypatch):
+        """A GEMM's exact trace in small chunks: final traffic and
+        statistics, against the scalar oracle's, and the number of LRU
+        replay calls the batch made."""
+        trace = Gemm(32).exact_trace()
+        calls = []
+        replay = CacheSim._replay_lru
+
+        def counted(sim, *args, **kwargs):
+            calls.append(args[0].size)
+            return replay(sim, *args, **kwargs)
+
+        monkeypatch.setattr(CacheSim, "_replay_lru", counted)
+        batch = CacheSim(cfg)
+        batch.access_batch(trace.addr, trace.size, trace.is_write,
+                           chunk_size=1 << 10)
+        oracle = CacheSim(cfg)
+        for a, sz, w in zip(trace.addr.tolist(), trace.size.tolist(),
+                            trace.is_write.tolist()):
+            oracle.access(a, sz, w)
+        for sim in (batch, oracle):
+            sim.flush()
+        assert ((batch.traffic.read_bytes, batch.traffic.write_bytes,
+                 batch.stats_hits, batch.stats_misses)
+                == (oracle.traffic.read_bytes, oracle.traffic.write_bytes,
+                    oracle.stats_hits, oracle.stats_misses))
+        return len(calls)
+
+    def test_trace_that_fits_never_replays(self, monkeypatch):
+        # 24 KiB of matrices on a 4 MiB cache: 65 chunks, most with
+        # first touches, none able to evict.
+        assert self._run(CacheConfig(capacity_bytes=4 << 20),
+                         monkeypatch) == 0
+
+    def test_thrashing_trace_replays(self, monkeypatch):
+        assert self._run(CacheConfig(capacity_bytes=8 << 10),
+                         monkeypatch) > 0

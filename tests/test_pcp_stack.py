@@ -66,6 +66,31 @@ class TestPerfeventPMDA:
         with pytest.raises(PCPError):
             pmda.fetch(make_pmid(127, 9999))
 
+    def test_every_pmid_and_instance_reads_its_counter(self, node):
+        # Distinct read and write traffic on each socket, so a PMID or
+        # an instance wired to the wrong counter reads a wrong value.
+        node.socket(0).record_traffic(read_bytes=8 * 64,
+                                      write_bytes=2 * 8 * 64)
+        node.socket(1).record_traffic(read_bytes=3 * 8 * 64 + 64,
+                                      write_bytes=5 * 8 * 64 + 3 * 64)
+        pmda = PerfeventPMDA(node)
+        instances = dict(zip(("cpu87", "cpu175"), node.sockets))
+        seen = set()
+        for name, pmid in pmda.metric_table():
+            event = name.split(".")[3]  # PM_MBA<ch>_<READ|WRITE>_BYTES
+            values = pmda.fetch(pmid)
+            assert values == {
+                instance: socket.nest.read_event(event, privileged=True)
+                for instance, socket in instances.items()}
+            seen.update((instance, event.endswith("WRITE_BYTES"), value)
+                        for instance, value in values.items())
+        assert len(pmda.metric_table()) == 16
+        # Both directions on both sockets, with values that tell them
+        # apart.
+        assert len({value for _, _, value in seen}) >= 4
+        assert {(i, w) for i, w, _ in seen} == {
+            (i, w) for i in instances for w in (False, True)}
+
 
 class TestPMCD:
     def test_lookup_and_fetch(self, pmcd, node):
