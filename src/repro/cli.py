@@ -5,9 +5,9 @@ Examples::
     repro-experiments --list
     repro-experiments fig3
     repro-experiments fig11 --seed 42
+    repro-experiments ablation-pcp-overhead
     repro-experiments --check-golden tests/golden fig2 fig3
     python -m repro.cli fig5
-    python -m repro.cli bench --compare benchmarks/baseline.json
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "simulated POWER9 substrate."),
     )
     parser.add_argument("experiment", nargs="?",
-                        help="experiment id (e.g. table1, fig2 ... fig12), "
-                             "'pcp-load' for the concurrent daemon "
-                             "load run, or 'bench' for the parallel "
-                             "benchmark suite (see 'bench --help')")
+                        help="experiment id (e.g. table1, fig2 ... fig12, "
+                             "ablation-noise), or one of the subcommands "
+                             "'pcp-load', 'pipeline' and 'sample' (see "
+                             "'<subcommand> --help')")
     parser.add_argument("--list", action="store_true",
                         help="list available experiments")
     parser.add_argument("--seed", type=int, default=None,
@@ -205,69 +205,6 @@ def _run_pcp_load(argv: List[str]) -> int:
     return exit_code
 
 
-def build_bench_parser() -> argparse.ArgumentParser:
-    from .bench.registry import DEFAULT_SEED
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments bench",
-        description="Run the registered benchmarks in parallel worker "
-                    "processes, write a BENCH_<git-sha>.json report, "
-                    "and optionally gate it against a frozen baseline.",
-    )
-    parser.add_argument("--bench-dir", default=None,
-                        help="directory holding bench_*.py scripts "
-                             "(default: ./benchmarks, falling back to "
-                             "the repository checkout)")
-    parser.add_argument("--jobs", "-j", type=int, default=None,
-                        help="parallel worker processes "
-                             "(default: min(8, cpu count))")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="per-benchmark deadline in seconds "
-                             "(default: 120)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="simulation seed benchmarks measure under")
-    parser.add_argument("--filter", dest="name_filter", default=None,
-                        help="only run benchmarks whose name contains "
-                             "this substring")
-    parser.add_argument("--tag", default=None,
-                        help="only run benchmarks carrying this tag")
-    parser.add_argument("--output-dir", default=".",
-                        help="where to write BENCH_<sha>.json "
-                             "(default: current directory)")
-    parser.add_argument("--no-report", action="store_true",
-                        help="skip writing the BENCH_<sha>.json file")
-    parser.add_argument("--profile", action="store_true",
-                        help="run each benchmark under cProfile and "
-                             "write <name>.prof into the output "
-                             "directory, next to BENCH_<sha>.json")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full report as JSON instead of "
-                             "the summary table")
-    parser.add_argument("--compare", metavar="BASELINE", default=None,
-                        help="compare against a frozen baseline report "
-                             "(e.g. benchmarks/baseline.json)")
-    parser.add_argument("--fail-on-regression",
-                        action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="exit nonzero when --compare finds a "
-                             "regression (default: on)")
-    parser.add_argument("--freeze", metavar="PATH", default=None,
-                        help="also freeze this run as a baseline file "
-                             "(report + thresholds) at PATH")
-    parser.add_argument("--wall-threshold", type=float, default=None,
-                        help="relative wall-time growth allowed vs the "
-                             "baseline (overrides the baseline's own "
-                             "thresholds; e.g. 0.25)")
-    parser.add_argument("--metric-rel", type=float, default=None,
-                        help="relative tolerance for metric drift")
-    parser.add_argument("--metric-abs", type=float, default=None,
-                        help="absolute tolerance for metric drift")
-    parser.add_argument("--rss-threshold", type=float, default=None,
-                        help="relative peak-RSS growth allowed (off by "
-                             "default)")
-    return parser
-
-
 def build_pipeline_parser() -> argparse.ArgumentParser:
     from .engine.envconfig import RING_DEPTH_ENV, SEGMENT_ROWS_ENV
 
@@ -309,7 +246,6 @@ def build_pipeline_parser() -> argparse.ArgumentParser:
 
 
 def build_sample_parser() -> argparse.ArgumentParser:
-    from .bench.registry import DEFAULT_SEED
     from .engine.envconfig import (
         SAMPLE_JITTER_ENV,
         SAMPLE_PERIOD_ENV,
@@ -352,8 +288,8 @@ def build_sample_parser() -> argparse.ArgumentParser:
     parser.add_argument("--skid-jitter", type=int, default=None,
                         help="random extra skid bound (default: "
                              f"${SAMPLE_JITTER_ENV} or 0)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="sampling RNG seed")
+    parser.add_argument("--seed", type=int, default=20230613,
+                        help="sampling RNG seed (default: 20230613)")
     parser.add_argument("--top", type=int, default=5,
                         help="hot cache lines to report (default: 5)")
     parser.add_argument("--scalar-replay", action="store_true",
@@ -540,140 +476,12 @@ def _run_pipeline_cmd(argv: List[str]) -> int:
     return 0
 
 
-def _default_bench_dir():
-    from pathlib import Path
-
-    cwd_dir = Path.cwd() / "benchmarks"
-    if cwd_dir.is_dir():
-        return cwd_dir
-    checkout = Path(__file__).resolve().parents[2] / "benchmarks"
-    if checkout.is_dir():
-        return checkout
-    return cwd_dir  # let discovery raise with a clear path
-
-
-def _run_bench(argv: List[str]) -> int:
-    from pathlib import Path
-
-    from .bench import (
-        RunnerConfig,
-        Thresholds,
-        build_report,
-        compare_reports,
-        discover,
-        format_comparison,
-        load_report,
-        run_benchmarks,
-        write_report,
-    )
-    from .bench.compare import resolve_thresholds
-
-    args = build_bench_parser().parse_args(argv)
-    bench_dir = Path(args.bench_dir) if args.bench_dir \
-        else _default_bench_dir()
-
-    def wanted(name: str, tags) -> bool:
-        return ((not args.name_filter or args.name_filter in name)
-                and (not args.tag or args.tag in tags))
-
-    specs = [s for s in discover(bench_dir) if wanted(s.name, s.tags)]
-    if not specs:
-        print(f"no benchmarks matched under {bench_dir}", file=sys.stderr)
-        return 2
-    config = RunnerConfig(max_workers=args.jobs,
-                          timeout_s=args.timeout, seed=args.seed,
-                          profile_dir=args.output_dir
-                          if args.profile else None)
-
-    def progress(record):
-        wall = record["wall_s"]
-        shown = f"{wall:8.2f}s" if wall is not None else " " * 9
-        line = f"  {record['name']:<28s} {record['status']:>8s} {shown}"
-        print(line, file=sys.stderr, flush=True)
-
-    n = len(specs)
-    workers = config.resolved_workers(n)
-    print(f"running {n} benchmarks on {workers} workers "
-          f"(timeout {config.timeout_s:.0f}s each)", file=sys.stderr)
-    records = run_benchmarks(specs, config, progress=progress)
-    report = build_report(
-        records,
-        config={"seed": config.seed, "timeout_s": config.timeout_s,
-                "max_workers": workers},
-    )
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        _print_bench_summary(report)
-    if not args.no_report:
-        path = write_report(report, args.output_dir)
-        print(f"report written to {path}", file=sys.stderr)
-    exit_code = 0
-    failed = report["summary"]["total"] - report["summary"]["ok"]
-    if failed:
-        print(f"{failed} benchmark(s) did not finish ok",
-              file=sys.stderr)
-        exit_code = 1
-    overrides = {"wall_rel": args.wall_threshold,
-                 "metric_rel": args.metric_rel,
-                 "metric_abs": args.metric_abs,
-                 "rss_rel": args.rss_threshold}
-    if args.compare:
-        baseline = load_report(args.compare)
-        thresholds = resolve_thresholds(baseline, overrides)
-        # A --tag/--filter run is compared only on the baseline
-        # benchmarks that the same filter selects.
-        comparison = compare_reports(
-            report, baseline, thresholds,
-            selected=[r["name"] for r in baseline["benchmarks"]
-                      if wanted(r["name"], r["tags"])])
-        print(format_comparison(comparison))
-        if not comparison.ok and args.fail_on_regression:
-            exit_code = exit_code or 1
-    if args.freeze:
-        frozen = dict(report)
-        frozen["thresholds"] = Thresholds.from_dict(
-            {k: v for k, v in overrides.items() if v is not None}
-        ).to_dict()
-        freeze_path = Path(args.freeze)
-        freeze_path.parent.mkdir(parents=True, exist_ok=True)
-        freeze_path.write_text(json.dumps(frozen, indent=2) + "\n")
-        print(f"baseline frozen to {freeze_path}", file=sys.stderr)
-    return exit_code
-
-
-def _print_bench_summary(report) -> None:
-    from .measure.report import format_table
-
-    rows = []
-    for record in report["benchmarks"]:
-        wall = record["wall_s"]
-        rss = record["peak_rss_kb"]
-        rows.append([
-            record["name"],
-            record["status"],
-            f"{wall:.2f}" if wall is not None else "-",
-            str(rss) if rss is not None else "-",
-            len(record["metrics"]),
-        ])
-    summary = report["summary"]
-    print(format_table(
-        ["benchmark", "status", "wall s", "peak RSS kB", "metrics"],
-        rows,
-        title=f"[bench] {summary['ok']}/{summary['total']} ok, "
-              f"{summary['wall_s']}s benchmark time, "
-              f"sha {report['git_sha'][:12]}"))
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if "bench" in argv:
-        # Dispatch to the bench sub-parser wherever the subcommand
-        # sits, so leading global flags (`--seed 42 bench`) work; the
-        # experiment parser has no string-valued options, so a bare
-        # `bench` token can only be the subcommand.
-        split = argv.index("bench")
-        return _run_bench(argv[:split] + argv[split + 1:])
+    # A subcommand dispatches wherever it sits, so leading global flags
+    # (`--seed 42 sample`) work; the experiment parser has no
+    # string-valued options, so a bare subcommand token can only be
+    # the subcommand.
     if "pipeline" in argv:
         split = argv.index("pipeline")
         return _run_pipeline_cmd(argv[:split] + argv[split + 1:])
@@ -690,8 +498,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{exp.experiment_id:8s} {exp.title}{ref}")
         print("pcp-load    Asyncio fabric load harness with fault "
               "injection (pcp-load --help)")
-        print("bench       Parallel benchmark suite with regression "
-              "baselines (bench --help)")
         print("pipeline    Segment-pipelined exact engine runner "
               "(pipeline --help)")
         print("sample      SPE/PEBS-style sampling profiler with "

@@ -1,7 +1,8 @@
 """Reproductions of every table and figure in the paper's evaluation.
 
 Use :func:`run_experiment` with an id from :func:`all_experiments`
-(``table1``, ``table2``, ``fig2`` ... ``fig12``), or the
+(``table1``, ``table2``, ``fig2`` ... ``fig12``, the ``ext-*``
+extensions and the ``ablation-*`` ablations), or the
 ``repro-experiments`` command line tool. :func:`golden_mismatch`
 compares an experiment with its frozen fixture.
 """

@@ -1,8 +1,8 @@
 """Experiment registry: table/figure id → reproduction callable.
 
 Every experiment returns an :class:`ExperimentResult` — headers, rows,
-and a free-form ``extras`` dict with the quantities the benchmarks
-assert on (ratios, crossovers, phase signatures). ``repro-experiments
+and a free-form ``extras`` dict with the quantities the tests assert
+on (ratios, crossovers, phase signatures). ``repro-experiments
 <id>`` on the command line prints the table.
 """
 
@@ -82,6 +82,7 @@ def all_experiments() -> List[Experiment]:
 def _ensure_loaded() -> None:
     """Import every experiment module so the registry is populated."""
     from . import (  # noqa: F401
+        ablations,
         extensions,
         gemm,
         gemv,

@@ -9,7 +9,7 @@ smallest problems down to 10 for N ≥ 2048.
 
 The paper's earlier work [9] also used the *minimum* or *median* of
 multiple runs on Intel; :func:`aggregate` implements all three so the
-ablation benchmark can compare them.
+``ablation-repetitions`` experiment can compare them.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Plain-text reporting helpers for experiments and benchmarks.
+"""Plain-text reporting helpers for experiments.
 
-Every benchmark regenerates its table/figure as rows printed through
+Every experiment regenerates its table/figure as rows printed through
 these helpers, so the output format is uniform across experiments and
 easy to diff against EXPERIMENTS.md.
 """

@@ -54,6 +54,7 @@ class TestSampleCLI:
         data = json.loads(capsys.readouterr().out)
         assert data["kernel"] == "gemm-32"
         assert data["period"] == 8
+        assert data["seed"] == 20230613
         assert data["exact"]["read_bytes"] > 0
         assert data["relative_error"]["total"] < 0.25
         assert data["overhead"]["samples"] > 0
@@ -64,9 +65,8 @@ class TestSampleCLI:
         assert "sample" in capsys.readouterr().out
 
     def test_sample_dispatches_after_leading_global_flags(self, capsys):
-        # The PR-3 regression class: `--seed 42 bench` used to feed
-        # the experiment parser. The sample subcommand must dispatch
-        # wherever it sits in argv.
+        # The sample subcommand must dispatch wherever it sits in
+        # argv: `--seed 42 sample` must not feed the experiment parser.
         import json
 
         assert main(["--seed", "42", "sample"] + self.ARGS) == 0

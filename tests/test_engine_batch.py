@@ -10,6 +10,8 @@ every trace, both policies, any chunking. The vectorized
 kernel's scalar ``exact_accesses`` generator.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,8 +43,11 @@ from repro.kernels.sparse import SpmvKernel, random_csr
 from repro.kernels.stream import StreamKernel
 from repro.machine.cache import CacheSim, expand_to_sectors
 from repro.machine.config import CacheConfig
+from repro.units import MIB
 
 SMALL = CacheConfig(capacity_bytes=64 * 1024)
+#: The cross-validation cache (tests/test_engine_crossval.py).
+BIG = CacheConfig(capacity_bytes=4 * MIB)
 
 
 def full_state(sim):
@@ -437,16 +442,36 @@ class TestExactTraceEmitters:
             assert bool(trace.is_write[i]) == acc.is_write, i
             assert names[trace.stream_id[i]] == acc.stream, i
 
-    @pytest.mark.parametrize(
-        "kernel", [Gemm(8), StreamKernel(op="triad", n=300)],
-        ids=lambda k: k.name)
-    def test_engine_traffic_identical_scalar_vs_batch(self, kernel):
-        scalar = ExactEngine(SMALL).run_nest(
+    @pytest.mark.parametrize("kernel,cache", [
+        (Gemm(8), SMALL),
+        (StreamKernel(op="triad", n=300), SMALL),
+        # The cross-validation geometry at 8.2M accesses, which the
+        # scalar oracle takes seconds to replay.
+        pytest.param(Gemm(160), BIG, marks=pytest.mark.slow),
+    ], ids=["gemm-8", "stream-triad-300", "gemm-160-4MiB"])
+    def test_engine_traffic_identical_scalar_vs_batch(self, kernel, cache):
+        scalar = ExactEngine(cache).run_nest(
             kernel.streams(), kernel.exact_accesses())
-        batch = ExactEngine(SMALL).run_nest(
+        batch = ExactEngine(cache).run_nest(
             kernel.streams(), kernel.exact_trace())
         assert (scalar.read_bytes, scalar.write_bytes) == \
             (batch.read_bytes, batch.write_bytes)
+
+    @pytest.mark.slow
+    def test_batch_at_least_25x_faster_than_scalar_oracle(self):
+        """The margin that makes GEMM N=256 cross-validation fit in
+        test time (best of three batch passes against one scalar)."""
+        kernel = Gemm(160)
+        trace = kernel.exact_trace()
+        t0 = time.perf_counter()
+        ExactEngine(BIG).run_nest(kernel.streams(), kernel.exact_accesses())
+        t_scalar = time.perf_counter() - t0
+        t_batch = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            ExactEngine(BIG).run_nest(kernel.streams(), trace)
+            t_batch = min(t_batch, time.perf_counter() - t0)
+        assert t_scalar / t_batch >= 25.0
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,12 @@ from repro.kernels.sparse import SpmvKernel, random_csr
 from repro.kernels.stream import StreamKernel
 from repro.machine.config import CacheConfig
 from repro.machine.prefetch import SoftwarePrefetch
+from repro.units import MIB
+from tests.test_exact_traffic_golden import case_key, check_exact_golden
 
 SMALL = CacheConfig(capacity_bytes=64 * 1024)
+#: The cross-validation cache (tests/test_engine_crossval.py).
+BIG = CacheConfig(capacity_bytes=4 * MIB)
 
 BLOCK = LocalBlock(planes=4, rows=6, cols=8)
 
@@ -69,8 +73,8 @@ FAMILY_KERNELS = [
 _IDS = [k.name for k in FAMILY_KERNELS]
 
 
-def batch_reference(kernel):
-    eng = ExactEngine(SMALL)
+def batch_reference(kernel, cache=SMALL):
+    eng = ExactEngine(cache)
     traffic = eng.run_nest(kernel.streams(), kernel.exact_trace())
     return (traffic.read_bytes, traffic.write_bytes,
             eng.sim.stats_hits, eng.sim.stats_misses)
@@ -153,6 +157,31 @@ class TestPooledPipeline:
                                   ring_depth=3) as eng:
             traffic = eng.run_kernel(kernel)
             assert pipelined_state(eng, traffic) == ref
+
+    def test_pool_matches_batch_on_crossval_gemm(self):
+        """GEMM N=160 in the cross-validation cache: 8.2M rows through
+        two workers at the default segment size."""
+        kernel = Gemm(160)
+        ref = batch_reference(kernel, BIG)
+        with PipelinedExactEngine(BIG, n_workers=2) as eng:
+            traffic = eng.run_kernel(kernel)
+            assert pipelined_state(eng, traffic) == ref
+        assert eng.last_pipeline_stats["rows"] == 8_217_600
+
+    def test_pool_reproduces_frozen_gemm_256(self):
+        """GEMM N=256 (33.6M rows) at the default segment size and
+        worker count: the pool's counts equal the batch engine's,
+        frozen in tests/exact_traffic.json."""
+        kernel = Gemm(256)
+        with PipelinedExactEngine(BIG) as eng:
+            traffic = eng.run_kernel(kernel)
+        check_exact_golden(case_key(kernel.name, BIG), {
+            "read_bytes": traffic.read_bytes,
+            "write_bytes": traffic.write_bytes,
+            "stats_hits": eng.last_stats["hits"],
+            "stats_misses": eng.last_stats["misses"]})
+        stats = eng.last_pipeline_stats
+        assert (stats["rows"], stats["segments"]) == (33_619_968, 37)
 
     @pytest.mark.parametrize("kernel", FAMILY_KERNELS, ids=_IDS)
     @given(segment_rows=st.integers(32, 2048),

@@ -2,7 +2,7 @@
 
 These are the integration tests that pin the *shape* of each table and
 figure: who wins, by what factor, where crossovers fall. Small sweeps
-keep them fast; the full sweeps run in the benchmarks.
+keep them fast; the full sweeps run in tests/test_experiment_metrics.py.
 """
 
 import pytest
@@ -21,8 +21,10 @@ class TestRegistry:
     def test_every_paper_item_registered(self):
         ids = {e.experiment_id for e in all_experiments()}
         assert PAPER_ITEMS <= ids
-        # Anything beyond the paper must be clearly marked an extension.
-        assert all(extra.startswith("ext-") for extra in ids - PAPER_ITEMS)
+        # Anything beyond the paper must be clearly marked an extension
+        # or an ablation.
+        assert all(extra.startswith(("ext-", "ablation-"))
+                   for extra in ids - PAPER_ITEMS)
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigurationError):

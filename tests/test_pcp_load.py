@@ -1,9 +1,16 @@
 """The pcp-load harness: sustained async load with fault injection.
 
 Short windows keep the suite fast; the CI nightly smoke runs the
-full-scale version (256 contexts, 60 s, 10k/s floor).
+full-scale version (256 contexts, 60 s, 10k/s floor). The
+``pcp-load`` subcommand's exit codes are checked against a patched
+``run_load``.
 """
 
+import json
+
+import pytest
+
+from repro.cli import main
 from repro.pcp.load import (
     LATENCY_BUCKETS_USEC,
     healthy,
@@ -82,6 +89,41 @@ class TestFaultScenarios:
         assert healthy(report), report["errors"]
 
 
+@pytest.fixture(scope="module")
+def clean_burst():
+    return run_load(n_contexts=64, duration_seconds=1.0, seed=613)
+
+
+@pytest.fixture(scope="module")
+def faulted_burst():
+    return run_load(n_contexts=32, duration_seconds=0.8, seed=613,
+                    shard_kills=1, slow_pmda=1, slow_pmda_seconds=0.005,
+                    drop_connections=2)
+
+
+class TestServiceScale:
+    """A 64-context burst, and a 32-context one under a shard kill, a
+    slow PMDA read and two dropped connections. The fetch-rate floors
+    leave wide headroom (both bursts fetched about 23,000/s on a 2-vCPU
+    host) and run with the slow tests."""
+
+    def test_clean_burst_is_healthy_and_coalesced(self, clean_burst):
+        assert healthy(clean_burst), clean_burst["errors"]
+        assert clean_burst["coalesced"] > 0
+
+    def test_faulted_burst_recovers_every_fault(self, faulted_burst):
+        assert healthy(faulted_burst), faulted_burst["errors"]
+        assert faulted_burst["shard_restarts"] >= 1
+
+    @pytest.mark.slow
+    def test_clean_fetch_rate_floor(self, clean_burst):
+        assert clean_burst["fetches_per_second"] >= 1200
+
+    @pytest.mark.slow
+    def test_faulted_fetch_rate_floor(self, faulted_burst):
+        assert faulted_burst["fetches_per_second"] >= 400
+
+
 class TestHealthPredicate:
     def test_errors_flip_health(self):
         report = small_load()
@@ -110,3 +152,53 @@ class TestLatencyMath:
         assert hist["<=200us"] == 1
         assert hist[f">{LATENCY_BUCKETS_USEC[-1]}us"] == 1
         assert sum(hist.values()) == 3
+
+
+# ------------------------------------------------------------ pcp-load CLI
+
+
+HEALTHY_LOAD = {
+    "contexts": 2,
+    "total_fetches": 1000,
+    "fetches_per_second": 5000,
+    "latency_p99_usec": 800,
+    "errors": [],
+    "cross_wired": 0,
+    "non_monotone_timestamps": 0,
+    "unrecovered_faults": 0,
+    "archive_corruption": None,
+}
+
+
+def _patch_load(monkeypatch, **overrides):
+    import repro.pcp.load as load
+
+    fake_report = dict(HEALTHY_LOAD, **overrides)
+    monkeypatch.setattr(load, "run_load", lambda **kwargs: dict(fake_report))
+
+
+def test_pcp_load_healthy_run_exits_zero(monkeypatch, capsys):
+    _patch_load(monkeypatch)
+    assert main(["pcp-load", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["unrecovered_faults"] == 0
+
+
+def test_pcp_load_unrecovered_fault_exits_nonzero(monkeypatch, capsys):
+    _patch_load(
+        monkeypatch,
+        unrecovered_faults=1,
+        errors=["context 1: ConnectionResetError()"],
+    )
+    assert main(["pcp-load", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["unrecovered_faults"] == 1
+
+
+@pytest.mark.parametrize("gate", [
+    ["--min-rate", "5001"],
+    ["--max-p99-usec", "799"],
+])
+def test_pcp_load_missed_gate_exits_nonzero(monkeypatch, capsys, gate):
+    _patch_load(monkeypatch)
+    assert main(["pcp-load", "--json"] + gate) == 1
+    assert json.loads(capsys.readouterr().out)["errors"] == []

@@ -6,6 +6,7 @@ measurement path itself).
 """
 
 import asyncio
+import time
 import warnings
 
 import pytest
@@ -114,6 +115,16 @@ class TestDeprecatedShims:
             SessionLogger(session, [METRIC])
 
 
+def _logged_archive(session, pmcd, tmp_path, samples):
+    """Log ``samples`` records of :data:`METRICS` into an archive the
+    daemon serves; returns the logger."""
+    store = MetricArchive.create(str(tmp_path / "arch"))
+    logger = session.log(METRICS, interval_seconds=0.5, store=store)
+    logger.run(samples)
+    pmcd.attach_archive(store)
+    return logger
+
+
 class TestSessionLoggerStore:
     def test_log_mirrors_into_archive(self, pmcd, node, tmp_path):
         session = connect(pmcd, node=node)
@@ -139,6 +150,27 @@ class TestSessionLoggerStore:
         t_mid = logger.archive[1].timestamp
         assert session.fetch_archive([METRIC], t0=t_mid) == \
             logger.archive[1:]
+
+    def test_fetch_archive_replays_200_samples(self, pmcd, node,
+                                               tmp_path):
+        session = connect(pmcd, node=node)
+        logger = _logged_archive(session, pmcd, tmp_path, 200)
+        replay = session.fetch_archive(METRICS)
+        assert len(replay) == 200
+        assert replay == logger.archive
+
+    @pytest.mark.slow
+    def test_archive_replay_rate_floor(self, pmcd, node, tmp_path):
+        """At least 2,000 records/s, best of three replays (about
+        76,000/s on a 2-vCPU host)."""
+        session = connect(pmcd, node=node)
+        _logged_archive(session, pmcd, tmp_path, 200)
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            session.fetch_archive(METRICS)
+            best = min(best, time.perf_counter() - t0)
+        assert 200 / best >= 2000
 
     def test_fetch_archive_without_archive_raises(self, pmcd, node):
         session = connect(pmcd, node=node)
