@@ -5,12 +5,18 @@ service fabric (:mod:`~repro.pcp.aserver`), on-disk metric archives
 (:mod:`~repro.pcp.archive`) and fault injection
 (:mod:`~repro.pcp.faults`). The privileged perfevent PMDA is what lets
 unprivileged users read nest counters — the mechanism the paper
-validates."""
+validates.
 
+One request path: :class:`PMCD` decides every fetch, in process or
+behind the fabric's shard workers; the sync and async sessions share
+one set of pmapi exchanges; the daemon, the fabric and the TCP
+transport count with one :class:`~repro.counters.Counters` class."""
+
+from ..counters import Counters
 from .archive import ArchiveRecord, MetricArchive, rates_from_records
-from .aserver import AsyncPMCDServer, FabricStats
+from .aserver import AsyncPMCDServer
 from .faults import FaultAction, FaultInjector, FaultKind
-from .pmcd import PMCD, PMCDStats, start_pmcd_for_node
+from .pmcd import PMCD, start_pmcd_for_node
 from .pmda import PMDA, PerfeventPMDA, PmcdPMDA, make_pmid, pmid_domain
 from .pmns import PMNS
 from .protocol import (
@@ -47,7 +53,7 @@ __all__ = [
     "AsyncPcpSession",
     "ChildrenRequest",
     "ChildrenResponse",
-    "FabricStats",
+    "Counters",
     "FaultAction",
     "FaultInjector",
     "FaultKind",
@@ -61,7 +67,6 @@ __all__ = [
     "OpenResponse",
     "PCPStatus",
     "PMCD",
-    "PMCDStats",
     "PMDA",
     "PMNS",
     "PROTOCOL_VERSION",

@@ -17,10 +17,10 @@ serves thousands of concurrent clients:
   in batches and identical concurrent pmid-tuples share one PMDA
   read, so the daemon does strictly fewer PMDA reads than the naive
   per-request count under concurrent load;
-* **hybrid executor offload** — domains named in ``executor_domains``
-  have their PMDA reads pushed to a concurrent.futures executor (a
-  thread pool by default; pass a process pool for picklable
-  CPU-bound agents) so a heavy read never blocks the event loop;
+* **one fetch path** — the daemon decides every fetch: the front-end
+  gates and counts it with :meth:`PMCD.admit`, a shard worker reads
+  with :meth:`PMCD.read`, and :meth:`PMCD.fetch_response` builds the
+  answer; every other PDU goes to :meth:`PMCD.handle`;
 * **archive serving** — v2 ``ArchiveFetchRequest`` PDUs replay from
   the daemon's attached :class:`~repro.pcp.archive.MetricArchive`,
   and the v2 ``OpenRequest`` handshake negotiates the protocol
@@ -51,9 +51,9 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..counters import Counters
 from ..errors import PCPError
 from . import protocol
 from .faults import FaultInjector, FaultKind
@@ -61,64 +61,14 @@ from .pmcd import PMCD
 from .pmda import pmid_domain
 
 
-class FabricStats:
-    """Counters for the TCP service layer.
-
-    The ``pmcd.service.*`` self-metrics (``coalesced``,
-    ``max_queue_depth``, ``latency_max_usec``) read from this
-    snapshot.
-    """
-
-    _FIELDS = ("requests", "responses", "batches", "coalesced",
-               "max_queue_depth", "connections", "disconnects", "faults",
-               "shard_kills", "shard_restarts", "requeued_jobs",
-               "executor_reads", "archive_fetches")
-
-    def __init__(self) -> None:
-        # The loop thread does almost all the counting, but snapshots
-        # arrive from other threads (tests, the CLI) — keep a lock.
-        self._lock = threading.Lock()
-        for field in self._FIELDS:
-            setattr(self, field, 0)
-        self._latency_sum = 0.0
-        self._latency_max = 0.0
-        self._latency_n = 0
-
-    def bump(self, field: str, by: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + by)
-
-    def record_batch(self, depth: int) -> None:
-        with self._lock:
-            self.batches += 1
-            self.max_queue_depth = max(self.max_queue_depth, depth)
-
-    def record_latency(self, seconds: float) -> None:
-        with self._lock:
-            self._latency_sum += seconds
-            self._latency_max = max(self._latency_max, seconds)
-            self._latency_n += 1
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            out: Dict[str, float] = {f: getattr(self, f)
-                                     for f in self._FIELDS}
-            out["latency_avg_usec"] = int(
-                self._latency_sum / self._latency_n * 1e6
-            ) if self._latency_n else 0
-            out["latency_max_usec"] = int(self._latency_max * 1e6)
-            return out
-
-
 class _ShardJob:
     """One domain's slice of a fetch, waiting on a shard worker."""
 
-    __slots__ = ("pmids", "future", "enqueued_at")
+    __slots__ = ("pmids", "future")
 
     def __init__(self, pmids: Tuple[int, ...], future: "asyncio.Future"):
         self.pmids = pmids
         self.future = future
-        self.enqueued_at = time.monotonic()
 
 
 class AsyncPMCDServer:
@@ -129,20 +79,20 @@ class AsyncPMCDServer:
 
     def __init__(self, pmcd: PMCD, host: str = "127.0.0.1", port: int = 0,
                  fault_injector: Optional[FaultInjector] = None,
-                 coalesce: bool = True,
-                 executor_domains: Sequence[int] = (),
-                 executor=None):
+                 coalesce: bool = True):
         self.pmcd = pmcd
         self.host = host
         self.port = port
         self.coalesce = coalesce
-        self.stats = FabricStats()
+        #: Service counters; queue depth is counted at the shard queues,
+        #: so only fetches register in ``batches``/``max_queue_depth``.
+        self.stats = Counters(
+            "requests", "responses", "batches", "coalesced",
+            "max_queue_depth", "connections", "disconnects", "faults",
+            "shard_kills", "shard_restarts", "requeued_jobs", latency=True)
         self.faults = fault_injector or FaultInjector()
         # Export service counters through the pmcd.* self-metrics PMDA.
         pmcd.service_stats = self.stats
-        self.executor_domains = frozenset(executor_domains)
-        self._executor = executor
-        self._own_executor = executor is None and bool(self.executor_domains)
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queues: Dict[int, "asyncio.Queue[_ShardJob]"] = {}
@@ -166,10 +116,6 @@ class AsyncPMCDServer:
     async def start(self) -> "AsyncPMCDServer":
         self._loop = asyncio.get_event_loop()
         self._stopping = False
-        if self._own_executor:
-            self._executor = ThreadPoolExecutor(
-                max_workers=max(1, len(self.executor_domains)),
-                thread_name_prefix="pmda-shard")
         for agent in self.pmcd.agents:
             self._spawn_shard(agent.domain)
         self._server = await asyncio.start_server(
@@ -194,9 +140,6 @@ class AsyncPMCDServer:
         self._supervisors.clear()
         self._workers.clear()
         self._drop_all_connections()
-        if self._own_executor and self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
         # Let the connection handlers observe their closed sockets.
         await asyncio.sleep(0)
 
@@ -303,10 +246,9 @@ class AsyncPMCDServer:
         first = True
         while not self._stopping:
             if not first:
-                self.stats.bump("shard_restarts")
+                self.stats.shard_restarts += 1
             first = False
-            worker = self._loop.create_task(
-                self._shard_worker(domain, queue))
+            worker = self._loop.create_task(self._shard_worker(queue))
             self._workers[domain] = worker
             try:
                 await worker
@@ -323,8 +265,7 @@ class AsyncPMCDServer:
                 # A worker bug must not take the shard down for good.
                 continue
 
-    async def _shard_worker(self, domain: int,
-                            queue: "asyncio.Queue[_ShardJob]") -> None:
+    async def _shard_worker(self, queue: "asyncio.Queue[_ShardJob]") -> None:
         claimed: List[_ShardJob] = []
         try:
             while True:
@@ -332,14 +273,16 @@ class AsyncPMCDServer:
                 while (not queue.empty()
                        and len(claimed) < self.MAX_BATCH):
                     claimed.append(queue.get_nowait())
-                self.stats.record_batch(len(claimed))
+                self.stats.batches += 1
+                self.stats.max_queue_depth = max(
+                    self.stats.max_queue_depth, len(claimed))
                 groups: Dict[Tuple[int, ...], List[_ShardJob]] = {}
                 ordered: List[Tuple[int, ...]] = []
                 for job in claimed:
                     key = job.pmids if self.coalesce else None
                     if key is not None and key in groups:
                         groups[key].append(job)
-                        self.stats.bump("coalesced")
+                        self.stats.coalesced += 1
                         continue
                     if key is None:
                         key = (id(job),)  # unique: no sharing
@@ -347,8 +290,7 @@ class AsyncPMCDServer:
                     ordered.append(key)
                 for key in ordered:
                     members = groups[key]
-                    result = await self._read_pmda(
-                        domain, members[0].pmids)
+                    result = await self._read_pmda(members[0].pmids)
                     for job in members:
                         if not job.future.done():
                             job.future.set_result(result)
@@ -363,33 +305,15 @@ class AsyncPMCDServer:
                     queue.put_nowait(job)
                     requeued += 1
             if requeued:
-                self.stats.bump("requeued_jobs", requeued)
+                self.stats.requeued_jobs += requeued
 
-    async def _read_pmda(self, domain: int, pmids: Tuple[int, ...]):
-        """One PMDA read for a coalesced group; never raises."""
+    async def _read_pmda(self, pmids: Tuple[int, ...]):
+        """One PMDA read for a coalesced group (:meth:`PMCD.read`)."""
         action = self.faults.next_pmda_action()
         if action is not None and action.kind is FaultKind.SLOW_PMDA:
-            self.stats.bump("faults")
+            self.stats.faults += 1
             await asyncio.sleep(action.seconds)
-        if domain in self.executor_domains and self._executor is not None:
-            self.stats.bump("executor_reads")
-            return await self._loop.run_in_executor(
-                self._executor, self._fetch_sync, domain, pmids)
-        return self._fetch_sync(domain, pmids)
-
-    def _fetch_sync(self, domain: int, pmids: Tuple[int, ...]):
-        agent = self.pmcd._agents.get(domain)
-        if agent is None:
-            return protocol.PCPStatus.PM_ERR_PMID
-        metrics = []
-        for pmid in pmids:
-            try:
-                self.pmcd.stats.pmda_fetch_calls += 1
-                values = agent.fetch(pmid)
-            except PCPError:
-                return protocol.PCPStatus.PM_ERR_PMID
-            metrics.append(protocol.MetricValues(pmid=pmid, values=values))
-        return metrics
+        return self.pmcd.read(pmids)
 
     def kill_shard(self, domain: int) -> bool:
         """Cancel one shard's worker task (fault injection).
@@ -400,11 +324,12 @@ class AsyncPMCDServer:
         worker = self._workers.get(domain)
         if worker is None:
             return False
-        self.stats.bump("shard_kills")
 
         def cancel() -> None:
             # Mark before cancelling, on the loop thread, so the
-            # supervisor can tell this cancel from loop teardown.
+            # supervisor can tell this cancel from loop teardown. The
+            # loop thread is also the only one that bumps counters.
+            self.stats.shard_kills += 1
             self._killed.add(domain)
             worker.cancel()
 
@@ -424,7 +349,7 @@ class AsyncPMCDServer:
 
     async def _serve_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
-        self.stats.bump("connections")
+        self.stats.connections += 1
         self._writers.add(writer)
         try:
             while True:
@@ -434,7 +359,7 @@ class AsyncPMCDServer:
                 line = line.strip()
                 if not line:
                     continue
-                self.stats.bump("requests")
+                self.stats.requests += 1
                 started = time.monotonic()
                 try:
                     request = protocol.decode_request(line)
@@ -452,28 +377,20 @@ class AsyncPMCDServer:
             # paths unwind through here (drop fault, restart, EOF).
             if writer in self._writers:
                 self._writers.discard(writer)
-                self.stats.bump("disconnects")
+                self.stats.disconnects += 1
             try:
                 writer.close()
             except Exception:
                 pass
 
     async def _dispatch(self, request):
-        if isinstance(request, protocol.FetchRequest):
-            return await self._dispatch_fetch(request)
-        if isinstance(request, protocol.ArchiveFetchRequest):
-            self.stats.bump("archive_fetches")
-        # Lookup/children/open/archive are cheap namespace or disk
-        # reads — served inline by the daemon object.
-        return self.pmcd.handle(request)
-
-    async def _dispatch_fetch(self, request: protocol.FetchRequest):
-        self.pmcd.stats.requests += 1
-        if not self.pmcd.running:
-            self.pmcd.stats.errors += 1
-            return protocol.ErrorResponse(
-                protocol.PCPStatus.PM_ERR_PERMISSION, "pmcd not running")
-        self.pmcd.stats.fetches += 1
+        if not isinstance(request, protocol.FetchRequest):
+            # Lookup/children/open/archive are cheap namespace or disk
+            # reads — served inline by the daemon object.
+            return self.pmcd.handle(request)
+        refused = self.pmcd.admit(request)
+        if refused is not None:
+            return refused
         # Clients fetch the same few pmid-tuples over and over; cache
         # the per-domain split instead of re-deriving it per request.
         split = self._split_cache.get(request.pmids)
@@ -489,51 +406,29 @@ class AsyncPMCDServer:
         for domain, pmids in split:
             queue = self._queues.get(domain)
             if queue is None:
-                return protocol.FetchResponse(
-                    status=protocol.PCPStatus.PM_ERR_PMID,
-                    generation=self.pmcd.generation,
-                    boot_id=self.pmcd.boot_id)
+                return self.pmcd.fetch_response(protocol.PCPStatus.PM_ERR_PMID)
             future = self._loop.create_future()
             queue.put_nowait(_ShardJob(pmids, future))
             futures.append(future)
         if len(futures) == 1:
             # Hot path: a fetch that lands on one shard needs no
             # cross-domain merge — the shard preserved request order.
-            result = await futures[0]
-            if isinstance(result, protocol.PCPStatus):
-                return protocol.FetchResponse(
-                    status=result,
-                    generation=self.pmcd.generation,
-                    boot_id=self.pmcd.boot_id)
-            return protocol.FetchResponse(
-                status=protocol.PCPStatus.OK,
-                timestamp=self.pmcd._timestamp(),
-                metrics=tuple(result),
-                generation=self.pmcd.generation,
-                boot_id=self.pmcd.boot_id)
-        results = await asyncio.gather(*futures)
+            return self.pmcd.fetch_response(await futures[0])
         values_by_pmid: Dict[int, protocol.MetricValues] = {}
-        for result in results:
+        for result in await asyncio.gather(*futures):
             if isinstance(result, protocol.PCPStatus):
-                return protocol.FetchResponse(
-                    status=result,
-                    generation=self.pmcd.generation,
-                    boot_id=self.pmcd.boot_id)
+                return self.pmcd.fetch_response(result)
             for metric in result:
                 values_by_pmid[metric.pmid] = metric
-        return protocol.FetchResponse(
-            status=protocol.PCPStatus.OK,
-            timestamp=self.pmcd._timestamp(),
-            metrics=tuple(values_by_pmid[pmid] for pmid in request.pmids),
-            generation=self.pmcd.generation,
-            boot_id=self.pmcd.boot_id)
+        return self.pmcd.fetch_response(
+            [values_by_pmid[pmid] for pmid in request.pmids])
 
     async def _send(self, writer: asyncio.StreamWriter, response,
                     started: float) -> bool:
         """Apply any scheduled fault, then send. False = close conn."""
         action = self.faults.next_action()
         if action is not None:
-            self.stats.bump("faults")
+            self.stats.faults += 1
             if action.kind is FaultKind.DROP_CONNECTION:
                 return False
             if action.kind is FaultKind.SLOW_RESPONSE:
@@ -548,6 +443,6 @@ class AsyncPMCDServer:
             return False
         if action is not None and action.kind is FaultKind.TRUNCATE_PDU:
             return False
-        self.stats.bump("responses")
+        self.stats.responses += 1
         self.stats.record_latency(time.monotonic() - started)
         return True

@@ -20,15 +20,21 @@ Service-layer state beyond the seed daemon:
   detect a daemon crash as a measurement *gap* instead of silently
   mixing counter epochs,
 * a daemon-side lookup cache keyed on the request's name tuple, and
-* :class:`PMCDStats` counters that the ``pmcd.*`` self-metrics PMDA
-  re-exports, so daemon overhead is itself measurable through PAPI —
-  the paper's Table 2 overhead analysis as a live metric.
+* :class:`Counters` that the ``pmcd.*`` self-metrics PMDA re-exports,
+  so daemon overhead is itself measurable through PAPI — the paper's
+  Table 2 overhead analysis as a live metric.
+
+Every fetch is decided here: :meth:`PMCD.admit` gates and counts it,
+:meth:`PMCD.read` reads the PMDAs, :meth:`PMCD.fetch_response`
+answers. :meth:`PMCD.handle` calls the three in a row; the TCP fabric
+calls ``read`` on its shard workers, between the other two.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..counters import Counters
 from ..errors import PCPError
 from ..machine.node import Node
 from .pmda import PMDA, PerfeventPMDA, PmcdPMDA, pmid_domain
@@ -52,35 +58,6 @@ from .protocol import (
 )
 
 
-class PMCDStats:
-    """Daemon-side request counters (exported via the pmcd.* PMDA)."""
-
-    __slots__ = ("requests", "lookups", "fetches", "children", "errors",
-                 "lookup_cache_hits", "lookup_cache_misses",
-                 "pmda_fetch_calls", "restarts", "opens", "archive_fetches")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.lookups = 0
-        self.fetches = 0
-        self.children = 0
-        self.errors = 0
-        self.lookup_cache_hits = 0
-        self.lookup_cache_misses = 0
-        #: Individual PMDA ``fetch`` invocations — strictly less than
-        #: the naive per-request count once the TCP service layer
-        #: coalesces concurrent fetches.
-        self.pmda_fetch_calls = 0
-        self.restarts = 0
-        #: v2 protocol handshakes served.
-        self.opens = 0
-        #: Archive replay requests served.
-        self.archive_fetches = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
 class PMCD:
     """The collector daemon for one host."""
 
@@ -94,13 +71,18 @@ class PMCD:
         self.round_trip_seconds = round_trip_seconds
         self.pmns = PMNS()
         self._agents: Dict[int, PMDA] = {}
-        self._fetch_count = 0
         self.running = True
         self.generation = 0
         self.boot_id = 0
-        self.stats = PMCDStats()
-        #: Optional :class:`~repro.pcp.aserver.FabricStats` attached by
-        #: the TCP service layer (exported via pmcd.service.* metrics).
+        #: Requests served. ``pmda_fetch_calls`` counts single PMDA
+        #: reads, which the TCP fabric's coalescing keeps below the
+        #: naive per-request count under concurrent load.
+        self.stats = Counters(
+            "requests", "lookups", "fetches", "children", "errors",
+            "lookup_cache_hits", "lookup_cache_misses", "pmda_fetch_calls",
+            "restarts", "opens", "archive_fetches")
+        #: The TCP fabric's :class:`Counters`, when one serves this
+        #: daemon (exported via the pmcd.service.* metrics).
         self.service_stats = None
         #: Optional :class:`~repro.pcp.archive.MetricArchive` serving
         #: ArchiveFetchRequest replay (attach via :meth:`attach_archive`).
@@ -129,11 +111,6 @@ class PMCD:
     def agents(self) -> List[PMDA]:
         return list(self._agents.values())
 
-    @property
-    def fetch_count(self) -> int:
-        """Number of fetch PDUs served (diagnostics/tests)."""
-        return self._fetch_count
-
     def _bump_generation(self) -> None:
         self.generation += 1
         self._lookup_cache.clear()
@@ -154,14 +131,13 @@ class PMCD:
     # ------------------------------------------------------------------
     def handle(self, request):
         """Dispatch one protocol request; never raises to the client."""
-        self.stats.requests += 1
-        if not self.running:
-            self.stats.errors += 1
-            return ErrorResponse(PCPStatus.PM_ERR_PERMISSION, "pmcd not running")
+        refused = self.admit(request)
+        if refused is not None:
+            return refused
+        if isinstance(request, FetchRequest):
+            return self.fetch_response(self.read(request.pmids))
         if isinstance(request, LookupRequest):
             return self._handle_lookup(request)
-        if isinstance(request, FetchRequest):
-            return self._handle_fetch(request)
         if isinstance(request, ChildrenRequest):
             return self._handle_children(request)
         if isinstance(request, OpenRequest):
@@ -171,6 +147,47 @@ class PMCD:
         self.stats.errors += 1
         return ErrorResponse(PCPStatus.PM_ERR_PMID,
                              f"unknown request type {type(request).__name__}")
+
+    def admit(self, request) -> Optional[ErrorResponse]:
+        """Count one request; while the daemon is down, also return the
+        error that answers it."""
+        self.stats.requests += 1
+        if not self.running:
+            self.stats.errors += 1
+            return ErrorResponse(PCPStatus.PM_ERR_PERMISSION,
+                                 "pmcd not running")
+        if isinstance(request, FetchRequest):
+            self.stats.fetches += 1
+        return None
+
+    def read(self, pmids: Sequence[int]
+             ) -> Union[PCPStatus, List[MetricValues]]:
+        """One PMDA read per PMID, in order, or ``PM_ERR_PMID`` as soon
+        as a PMID has no agent or its agent refuses it."""
+        metrics = []
+        for pmid in pmids:
+            agent = self._agents.get(pmid_domain(pmid))
+            if agent is None:
+                return PCPStatus.PM_ERR_PMID
+            try:
+                self.stats.pmda_fetch_calls += 1
+                values = agent.fetch(pmid)
+            except PCPError:
+                return PCPStatus.PM_ERR_PMID
+            metrics.append(MetricValues(pmid=pmid, values=values))
+        return metrics
+
+    def fetch_response(self, result: Union[PCPStatus, Sequence[MetricValues]]
+                       ) -> FetchResponse:
+        """The answer to a fetch whose reads gave ``result``."""
+        if isinstance(result, PCPStatus):
+            return FetchResponse(status=result, generation=self.generation,
+                                 boot_id=self.boot_id)
+        return FetchResponse(status=PCPStatus.OK,
+                             timestamp=self._timestamp(),
+                             metrics=tuple(result),
+                             generation=self.generation,
+                             boot_id=self.boot_id)
 
     # ------------------------------------------------------------------
     def _handle_lookup(self, request: LookupRequest) -> LookupResponse:
@@ -196,30 +213,6 @@ class PMCD:
                                   generation=self.generation)
         self._lookup_cache[request.names] = response
         return response
-
-    def _handle_fetch(self, request: FetchRequest) -> FetchResponse:
-        self._fetch_count += 1
-        self.stats.fetches += 1
-        metrics = []
-        for pmid in request.pmids:
-            agent = self._agents.get(pmid_domain(pmid))
-            if agent is None:
-                return FetchResponse(status=PCPStatus.PM_ERR_PMID,
-                                     generation=self.generation,
-                                     boot_id=self.boot_id)
-            try:
-                self.stats.pmda_fetch_calls += 1
-                values = agent.fetch(pmid)
-            except PCPError:
-                return FetchResponse(status=PCPStatus.PM_ERR_PMID,
-                                     generation=self.generation,
-                                     boot_id=self.boot_id)
-            metrics.append(MetricValues(pmid=pmid, values=values))
-        return FetchResponse(status=PCPStatus.OK,
-                             timestamp=self._timestamp(),
-                             metrics=tuple(metrics),
-                             generation=self.generation,
-                             boot_id=self.boot_id)
 
     def _handle_open(self, request: OpenRequest) -> OpenResponse:
         """v2 handshake: answer with the negotiated protocol version."""

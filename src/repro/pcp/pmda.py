@@ -108,9 +108,7 @@ class PmcdPMDA(PMDA):
 def _service_stat(pmcd, key: str) -> int:
     """Read one TCP service-layer counter (0 for in-process daemons)."""
     stats = getattr(pmcd, "service_stats", None)
-    if stats is None:
-        return 0
-    return int(stats.snapshot().get(key, 0))
+    return 0 if stats is None else int(getattr(stats, key))
 
 
 class PerfeventPMDA(PMDA):

@@ -20,6 +20,10 @@ with backoff and optional auto-reconnect. Async mode returns an
 session.fetch(...)``), designed for thousands of concurrent contexts
 against the asyncio fabric (:mod:`repro.pcp.aserver`).
 
+Each pmapi call is written once, in :class:`_SessionState`, as an
+*exchange* that yields its request PDUs and checks their responses;
+the two sessions only send them.
+
 Accounting is unchanged from the seed: each sync call is one daemon
 round trip charged to the client node's clock, lookup caching is
 opt-in and generation-invalidated, and a daemon ``boot_id`` change is
@@ -33,8 +37,9 @@ import asyncio
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
+from ..counters import Counters
 from ..errors import ArchiveError, PCPError, PCPTimeout
 from ..machine.node import Node
 from .archive import ArchiveRecord, rates_from_records
@@ -70,8 +75,33 @@ def _records_from_samples(samples) -> List[ArchiveRecord]:
     return records
 
 
+def _expect(response, kind):
+    if not isinstance(response, kind):
+        raise PCPError(f"unexpected response: {response}")
+    return response
+
+
+def _drive(exchange: Generator, send: Callable):
+    """Run ``exchange`` to its result, answering each request it yields
+    with ``send(request)``."""
+    try:
+        request = next(exchange)
+        while True:
+            request = exchange.send(send(request))
+    except StopIteration as done:
+        return done.value
+
+
 class _SessionState:
-    """Client-side accounting shared by the sync and async sessions."""
+    """Client-side accounting and the pmapi exchanges shared by the
+    sync and async sessions.
+
+    An exchange (``_lookup``, ``_fetch``, ...) is a generator: it yields
+    each request PDU, receives its response (``response = yield
+    request``), checks it and returns the call's result. A session's
+    ``_run`` charges a round trip per request and passes each response
+    through :meth:`_observe` first.
+    """
 
     def __init__(self, node: Optional[Node], cache_lookups: bool):
         self.node = node
@@ -93,6 +123,11 @@ class _SessionState:
         """True once a daemon restart has been observed."""
         return self.gaps > 0
 
+    def _round_trip(self) -> None:
+        self.round_trips += 1
+        if self.node is not None and self.round_trip_seconds > 0:
+            self.node.advance(self.round_trip_seconds)
+
     def _observe(self, response) -> None:
         """Track the daemon's generation/boot id from any response."""
         generation = getattr(response, "generation", None)
@@ -106,28 +141,87 @@ class _SessionState:
                 self.gaps += 1
             self._boot_id = boot_id
 
-    def _observe_open(self, response) -> int:
-        """Digest the daemon's answer to an OpenRequest."""
-        if isinstance(response, OpenResponse) \
-                and response.status == PCPStatus.OK:
-            self._observe(response)
-            self.protocol_version = response.version
-        else:
-            # A v1 daemon rejects the unknown PDU type — that *is* the
-            # negotiation result.
-            self.protocol_version = 1
+    # ------------------------------------------------------------------
+    # Exchanges.
+
+    def _open(self):
+        response = yield OpenRequest()
+        # A v1 daemon rejects the unknown PDU type — that *is* the
+        # negotiation result.
+        ok = (isinstance(response, OpenResponse)
+              and response.status == PCPStatus.OK)
+        self.protocol_version = response.version if ok else 1
         return self.protocol_version
 
-    def _check_archive_response(self, response) -> List[ArchiveRecord]:
-        if isinstance(response, ErrorResponse):
-            if response.status == PCPStatus.PM_ERR_NODATA:
-                raise ArchiveError("daemon has no archive attached")
+    def _lookup(self, names: Sequence[str]):
+        names = list(names)
+        if self.cache_lookups and names:
+            cached = [self._lookup_cache.get(name) for name in names]
+            if all(pmid is not None for pmid in cached):
+                self.cached_lookups += 1
+                return cached
+        response = _expect((yield LookupRequest(names=tuple(names))),
+                           LookupResponse)
+        if response.status != PCPStatus.OK:
+            bad = [n for n, s in zip(names, response.name_status)
+                   if s != PCPStatus.OK]
+            raise PCPError(f"unknown metric name(s): {bad}")
+        for name, pmid in zip(names, response.pmids):
+            self._lookup_cache[name] = pmid
+        return list(response.pmids)
+
+    def _fetch(self, pmids: Sequence[int]):
+        return self._fetch_values((yield FetchRequest(pmids=tuple(pmids))))
+
+    def _fetch_values(self, response) -> Dict[int, Dict[str, int]]:
+        response = _expect(response, FetchResponse)
+        if response.status != PCPStatus.OK:
+            raise PCPError(f"fetch failed: {response.status.name}")
+        self.last_fetch_timestamp = response.timestamp
+        return {m.pmid: dict(m.values) for m in response.metrics}
+
+    def _fetch_one(self, name: str, instance: str):
+        pmid = (yield from self._lookup([name]))[0]
+        values = (yield from self._fetch([pmid]))[pmid]
+        try:
+            return values[instance]
+        except KeyError:
             raise PCPError(
-                f"archive fetch failed: {response.status.name} "
-                f"({response.detail})")
-        if not isinstance(response, ArchiveFetchResponse):
-            raise PCPError(f"unexpected response: {response}")
-        self._observe(response)
+                f"metric {name!r} has no instance {instance!r}; "
+                f"available: {sorted(values)}"
+            ) from None
+
+    @staticmethod
+    def _children(prefix: str):
+        """(name, is_leaf) pairs one level below ``prefix``."""
+        response = _expect((yield ChildrenRequest(prefix=prefix)),
+                           ChildrenResponse)
+        if response.status != PCPStatus.OK:
+            raise PCPError(f"unknown PMNS prefix: {prefix!r}")
+        return list(zip(response.children, response.leaf_flags))
+
+    @staticmethod
+    def _walk(prefix: str):
+        """pmTraversePMNS as ChildrenRequest PDUs, one per inner node."""
+        names: List[str] = []
+        for child, leaf in (yield from _SessionState._children(prefix)):
+            path = f"{prefix}.{child}" if prefix else child
+            if leaf:
+                names.append(path)
+            else:
+                names.extend((yield from _SessionState._walk(path)))
+        return names
+
+    def _archive(self, metrics: Sequence[str], t0: float,
+                 t1: Optional[float]):
+        response = yield ArchiveFetchRequest(
+            metrics=tuple(metrics), t0=t0, t1=-1.0 if t1 is None else t1)
+        if isinstance(response, ErrorResponse):  # e.g. a corrupt archive
+            error = (ArchiveError if response.status == PCPStatus.PM_ERR_NODATA
+                     else PCPError)
+            raise error(f"archive fetch failed: {response.status.name} "
+                        f"({response.detail})")
+        response = _expect(response, ArchiveFetchResponse)
         if response.status == PCPStatus.PM_ERR_NODATA:
             raise ArchiveError("daemon has no archive attached")
         if response.status != PCPStatus.OK:
@@ -152,11 +246,19 @@ class PcpSession(_SessionState):
         super().__init__(node, cache_lookups)
         self.pmcd = pmcd
 
-    # ------------------------------------------------------------------
-    def _round_trip(self) -> None:
-        self.round_trips += 1
-        if self.node is not None and self.pmcd.round_trip_seconds > 0:
-            self.node.advance(self.pmcd.round_trip_seconds)
+    @property
+    def round_trip_seconds(self) -> float:
+        return self.pmcd.round_trip_seconds
+
+    def _send(self, request):
+        self._round_trip()
+        response = self.pmcd.handle(request)
+        self._observe(response)
+        return response
+
+    def _run(self, exchange: Generator):
+        """Each request ``exchange`` yields is one round trip."""
+        return _drive(exchange, self._send)
 
     def charge(self, lookups: Sequence[Tuple[str, int]] = (),
                fetches: int = 0) -> None:
@@ -181,8 +283,8 @@ class PcpSession(_SessionState):
         if trips < 1:
             return
         self.round_trips += trips
-        if self.node is not None and self.pmcd.round_trip_seconds > 0:
-            self.node.advance_steps(self.pmcd.round_trip_seconds, trips)
+        if self.node is not None and self.round_trip_seconds > 0:
+            self.node.advance_steps(self.round_trip_seconds, trips)
 
     # ------------------------------------------------------------------
     def handshake(self) -> int:
@@ -191,70 +293,30 @@ class PcpSession(_SessionState):
         Optional: sessions default to the v1 surface, which every
         daemon speaks. Returns the negotiated version.
         """
-        self._round_trip()
-        return self._observe_open(self.pmcd.handle(OpenRequest()))
+        return self._run(self._open())
 
     def lookup_names(self, names: Sequence[str]) -> List[int]:
         """pmLookupName: resolve metric names to PMIDs."""
-        names = list(names)
-        if self.cache_lookups and names:
-            cached = [self._lookup_cache.get(name) for name in names]
-            if all(pmid is not None for pmid in cached):
-                self.cached_lookups += 1
-                return cached
-        self._round_trip()
-        response = self.pmcd.handle(LookupRequest(names=tuple(names)))
-        if not isinstance(response, LookupResponse):
-            raise PCPError(f"unexpected response: {response}")
-        self._observe(response)
-        if response.status != PCPStatus.OK:
-            bad = [n for n, s in zip(names, response.name_status)
-                   if s != PCPStatus.OK]
-            raise PCPError(f"unknown metric name(s): {bad}")
-        for name, pmid in zip(names, response.pmids):
-            self._lookup_cache[name] = pmid
-        return list(response.pmids)
+        return self._run(self._lookup(names))
 
     def fetch(self, pmids: Sequence[int]) -> Dict[int, Dict[str, int]]:
         """pmFetch: current values for each PMID, keyed by instance."""
-        self._round_trip()
-        response = self.pmcd.handle(FetchRequest(pmids=tuple(pmids)))
-        if not isinstance(response, FetchResponse):
-            raise PCPError(f"unexpected response: {response}")
-        self._observe(response)
-        if response.status != PCPStatus.OK:
-            raise PCPError(f"fetch failed: {response.status.name}")
-        self.last_fetch_timestamp = response.timestamp
-        return {m.pmid: dict(m.values) for m in response.metrics}
+        return self._run(self._fetch(pmids))
 
     def fetch_one(self, name: str, instance: str) -> int:
         """Convenience: one metric, one instance."""
-        pmid = self.lookup_names([name])[0]
-        values = self.fetch([pmid])[pmid]
-        try:
-            return values[instance]
-        except KeyError:
-            raise PCPError(
-                f"metric {name!r} has no instance {instance!r}; "
-                f"available: {sorted(values)}"
-            ) from None
+        return self._run(self._fetch_one(name, instance))
 
     def children(self, prefix: str = "") -> List[str]:
         """pmGetChildren: names one level below ``prefix``."""
-        self._round_trip()
-        response = self.pmcd.handle(ChildrenRequest(prefix=prefix))
-        if not isinstance(response, ChildrenResponse):
-            raise PCPError(f"unexpected response: {response}")
-        self._observe(response)
-        if response.status != PCPStatus.OK:
-            raise PCPError(f"unknown PMNS prefix: {prefix!r}")
-        return list(response.children)
+        return [name for name, _ in self._run(self._children(prefix))]
 
     def traverse(self, prefix: str = "") -> List[str]:
         """pmTraversePMNS: all metric names under ``prefix``.
 
-        Served from the daemon's PMNS in one round trip (the real
-        protocol batches the traversal similarly).
+        One round trip (the real protocol batches the traversal
+        similarly): an in-process daemon's PMNS is read directly, and
+        a :class:`RemoteTransport` walks the remote one.
         """
         self._round_trip()
         return list(self.pmcd.pmns.traverse(prefix))
@@ -280,18 +342,15 @@ class PcpSession(_SessionState):
         records returned are identical to what a live ``SessionLogger``
         recorded.
         """
-        self._round_trip()
-        response = self.pmcd.handle(ArchiveFetchRequest(
-            metrics=tuple(metrics), t0=t0,
-            t1=-1.0 if t1 is None else t1))
-        return self._check_archive_response(response)
+        return self._run(self._archive(metrics, t0, t1))
 
     # ------------------------------------------------------------------
     def daemon_overhead(self) -> Dict[str, float]:
         """Service-layer overhead counters for this client's path.
 
         Merges client-side accounting (round trips, cache hits, gaps),
-        the daemon's own :class:`~repro.pcp.pmcd.PMCDStats`, and — for
+        the daemon's own counters (``pmcd.stats``) and the fabric's
+        (``service_stats``) when the daemon is in-process, and — for
         TCP transports — the remote transport's latency/retry stats.
         """
         info: Dict[str, float] = {
@@ -465,13 +524,10 @@ class AsyncPcpSession(_SessionState):
         # Created lazily inside the running loop: on py3.9 a Lock built
         # outside the loop binds the wrong one.
         self._lock: Optional[asyncio.Lock] = None
-        self.requests = 0
 
     # ------------------------------------------------------------------
     async def open(self) -> "AsyncPcpSession":
         """Dial the daemon (no-op for in-process targets)."""
-        if self._lock is None:
-            self._lock = asyncio.Lock()
         if self._address is not None and self._writer is None:
             self._reader, self._writer = await asyncio.wait_for(
                 asyncio.open_connection(*self._address),
@@ -494,178 +550,119 @@ class AsyncPcpSession(_SessionState):
         await self.close()
 
     # ------------------------------------------------------------------
-    def _round_trip(self) -> None:
-        self.round_trips += 1
-        if self.node is not None and self.round_trip_seconds > 0:
-            self.node.advance(self.round_trip_seconds)
+    async def _send(self, requests: Sequence) -> list:
+        """Send ``requests``, one round trip each; their responses.
 
-    async def _request(self, request):
-        self._round_trip()
-        self.requests += 1
-        if self._pmcd is not None:
-            return self._pmcd.handle(request)
-        if self._writer is None or self._lock is None:
-            await self.open()
-        async with self._lock:
-            self._writer.write(encode_request(request))
-            await self._writer.drain()
-            try:
-                line = await asyncio.wait_for(
-                    self._reader.readline(), timeout=self.request_timeout)
-            except asyncio.TimeoutError:
-                raise PCPTimeout(
-                    f"pmcd request timed out after "
-                    f"{self.request_timeout}s") from None
-        if not line:
-            raise PCPError("connection to pmcd lost")
-        return decode_response(line)
-
-    async def _request_many(self, requests: Sequence) -> list:
-        """Pipeline: write every request, then read the responses FIFO.
-
-        One writer/reader pass for N requests — the client-side half of
-        the fabric's coalescing story (many in-flight fetches share
-        socket round trips and, server-side, PMDA reads).
+        Over TCP: one write, then the responses in order under one
+        deadline (a wait_for per response costs a timer handle and a
+        wrapper task, which dominates the fabric's hot path). A
+        timeout or a lost or corrupt line closes the connection, whose
+        stream may still carry a late response; the next request dials
+        afresh.
         """
         if self._pmcd is not None:
-            out = []
+            responses = []
             for request in requests:
                 self._round_trip()
-                self.requests += 1
-                out.append(self._pmcd.handle(request))
-            return out
-        if self._writer is None or self._lock is None:
-            await self.open()
+                responses.append(self._pmcd.handle(request))
+            return responses
+        if self._lock is None:
+            self._lock = asyncio.Lock()
         async with self._lock:
-            for request in requests:
-                self._round_trip()
-                self.requests += 1
-                self._writer.write(encode_request(request))
-            await self._writer.drain()
-
-            async def read_all() -> list:
-                lines = []
-                for _ in requests:
-                    line = await self._reader.readline()
-                    if not line:
-                        raise PCPError("connection to pmcd lost")
-                    lines.append(line)
-                return lines
-
+            if self._writer is None:
+                await self.open()
             try:
-                # One deadline for the whole pipelined batch: a
-                # wait_for per response costs a timer handle + wrapper
-                # task each, which dominates the fabric's hot path.
+                for request in requests:
+                    self._round_trip()
+                    self._writer.write(encode_request(request))
+                await self._writer.drain()
                 lines = await asyncio.wait_for(
-                    read_all(), timeout=self.request_timeout)
-            except asyncio.TimeoutError:
-                raise PCPTimeout(
-                    f"pmcd request timed out after "
-                    f"{self.request_timeout}s") from None
-        return [decode_response(line) for line in lines]
+                    self._read_lines(len(requests)),
+                    timeout=self.request_timeout)
+                return [decode_response(line) for line in lines]
+            except BaseException as exc:
+                writer, self._reader, self._writer = self._writer, None, None
+                if writer is not None:  # None if close() ran meanwhile
+                    writer.close()
+                if isinstance(exc, asyncio.TimeoutError):
+                    raise PCPTimeout(
+                        f"pmcd request timed out after "
+                        f"{self.request_timeout}s") from None
+                raise
+
+    async def _read_lines(self, count: int) -> list:
+        lines = []
+        for _ in range(count):
+            line = await self._reader.readline()
+            if not line:
+                raise PCPError("connection to pmcd lost")
+            lines.append(line)
+        return lines
+
+    async def _run(self, exchange: Generator):
+        """Each request ``exchange`` yields is one round trip."""
+        try:
+            request = next(exchange)
+            while True:
+                response = (await self._send((request,)))[0]
+                self._observe(response)
+                request = exchange.send(response)
+        except StopIteration as done:
+            return done.value
 
     # ------------------------------------------------------------------
     async def handshake(self) -> int:
         """Negotiate the protocol version (one round trip)."""
-        return self._observe_open(await self._request(OpenRequest()))
+        return await self._run(self._open())
 
     async def lookup_names(self, names: Sequence[str]) -> List[int]:
-        names = list(names)
-        if self.cache_lookups and names:
-            cached = [self._lookup_cache.get(name) for name in names]
-            if all(pmid is not None for pmid in cached):
-                self.cached_lookups += 1
-                return cached
-        response = await self._request(LookupRequest(names=tuple(names)))
-        if not isinstance(response, LookupResponse):
-            raise PCPError(f"unexpected response: {response}")
-        self._observe(response)
-        if response.status != PCPStatus.OK:
-            bad = [n for n, s in zip(names, response.name_status)
-                   if s != PCPStatus.OK]
-            raise PCPError(f"unknown metric name(s): {bad}")
-        for name, pmid in zip(names, response.pmids):
-            self._lookup_cache[name] = pmid
-        return list(response.pmids)
+        return await self._run(self._lookup(names))
 
     async def fetch(self, pmids: Sequence[int]) -> Dict[int, Dict[str, int]]:
-        response = await self._request(FetchRequest(pmids=tuple(pmids)))
-        return self._digest_fetch(response)
-
-    def _digest_fetch(self, response) -> Dict[int, Dict[str, int]]:
-        if not isinstance(response, FetchResponse):
-            raise PCPError(f"unexpected response: {response}")
-        self._observe(response)
-        if response.status != PCPStatus.OK:
-            raise PCPError(f"fetch failed: {response.status.name}")
-        self.last_fetch_timestamp = response.timestamp
-        return {m.pmid: dict(m.values) for m in response.metrics}
+        return await self._run(self._fetch(pmids))
 
     async def fetch_many(self, pmid_groups: Sequence[Sequence[int]]
                          ) -> List[Dict[int, Dict[str, int]]]:
         """Pipelined pmFetch: N fetches, one socket write/read pass."""
-        responses = await self._request_many(
+        responses = await self._send(
             [FetchRequest(pmids=tuple(pmids)) for pmids in pmid_groups])
-        return [self._digest_fetch(response) for response in responses]
+        out = []
+        for response in responses:
+            self._observe(response)
+            out.append(self._fetch_values(response))
+        return out
 
     async def fetch_one(self, name: str, instance: str) -> int:
-        pmid = (await self.lookup_names([name]))[0]
-        values = (await self.fetch([pmid]))[pmid]
-        try:
-            return values[instance]
-        except KeyError:
-            raise PCPError(
-                f"metric {name!r} has no instance {instance!r}; "
-                f"available: {sorted(values)}"
-            ) from None
+        return await self._run(self._fetch_one(name, instance))
 
     async def children(self, prefix: str = "") -> List[str]:
-        response = await self._request(ChildrenRequest(prefix=prefix))
-        if not isinstance(response, ChildrenResponse):
-            raise PCPError(f"unexpected response: {response}")
-        self._observe(response)
-        if response.status != PCPStatus.OK:
-            raise PCPError(f"unknown PMNS prefix: {prefix!r}")
-        return list(response.children)
+        return [name for name, _ in await self._run(self._children(prefix))]
 
     async def traverse(self, prefix: str = "") -> List[str]:
-        """pmTraversePMNS via recursive ChildrenRequest PDUs."""
+        """pmTraversePMNS: an in-process daemon's PMNS is read directly
+        for one round trip; over TCP every ChildrenRequest PDU of the
+        walk is a round trip."""
         if self._pmcd is not None:
             self._round_trip()
             return list(self._pmcd.pmns.traverse(prefix))
-        out: List[str] = []
-        response = await self._request(ChildrenRequest(prefix=prefix))
-        if not isinstance(response, ChildrenResponse) \
-                or response.status != PCPStatus.OK:
-            raise PCPError(f"unknown PMNS prefix {prefix!r}")
-        self._observe(response)
-        for child, leaf in zip(response.children, response.leaf_flags):
-            path = f"{prefix}.{child}" if prefix else child
-            if leaf:
-                out.append(path)
-            else:
-                out.extend(await self.traverse(path))
-        return out
+        return await self._run(self._walk(prefix))
 
     async def fetch_archive(self, metrics: Sequence[str] = (),
                             t0: float = 0.0, t1: Optional[float] = None
                             ) -> List[ArchiveRecord]:
         """Replay archived samples (see :meth:`PcpSession.fetch_archive`)."""
-        response = await self._request(ArchiveFetchRequest(
-            metrics=tuple(metrics), t0=t0,
-            t1=-1.0 if t1 is None else t1))
-        return self._check_archive_response(response)
+        return await self._run(self._archive(metrics, t0, t1))
 
 
-class RemoteTransport:
+class RemoteTransport(Counters):
     """Client-side stand-in for a PMCD reached over TCP.
 
     Duck-types the surface :class:`PcpSession` uses (``handle``,
     ``pmns``, ``round_trip_seconds``), so the whole PAPI PCP component
-    works unchanged across the socket. ``pmns`` access is served by
-    traversing the remote namespace via ChildrenRequest PDUs. Sessions
-    normally obtain one through ``repro.pcp.connect(("host", port))``
-    rather than directly.
+    works unchanged across the socket. ``pmns`` is the transport
+    itself: its :meth:`traverse` walks the remote namespace with
+    ChildrenRequest PDUs. Sessions normally obtain one through
+    ``repro.pcp.connect(("host", port))`` rather than directly.
 
     Fault tolerance: each request has a deadline
     (``request_timeout``); a timed-out or failed request is retried up
@@ -677,6 +674,10 @@ class RemoteTransport:
     daemon drops the connection (e.g. a restart) — the daemon's
     ``boot_id`` then tells the :class:`PcpSession` to flag a
     measurement gap.
+
+    The transport's counters are its own attributes: ``requests``,
+    ``retries``, ``timeouts``, ``reconnects`` and the latency of the
+    answered requests; :meth:`transport_stats` snapshots them.
     """
 
     def __init__(self, host: str, port: int,
@@ -686,6 +687,8 @@ class RemoteTransport:
                  max_retries: int = 2,
                  backoff_base_seconds: float = 0.01,
                  auto_reconnect: bool = False):
+        super().__init__("requests", "retries", "timeouts", "reconnects",
+                         latency=True)
         self.host = host
         self.port = port
         self.round_trip_seconds = round_trip_seconds
@@ -698,13 +701,6 @@ class RemoteTransport:
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._rfile = None
-        self._pmns = None
-        self.requests = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.reconnects = 0
-        self._latency_sum = 0.0
-        self._latency_max = 0.0
         self._connect()
 
     # ------------------------------------------------------------------
@@ -724,11 +720,6 @@ class RemoteTransport:
         self._rfile = None
         self._sock = None
 
-    def _reconnect(self) -> None:
-        self._teardown()
-        self._connect()
-        self.reconnects += 1
-
     # ------------------------------------------------------------------
     def handle(self, request):
         payload = encode_request(request)
@@ -746,7 +737,9 @@ class RemoteTransport:
                     # Retries start on a fresh connection, and so does
                     # the first attempt after a timeout closed the last.
                     try:
-                        self._reconnect()
+                        self._teardown()
+                        self._connect()
+                        self.reconnects += 1
                     except OSError as exc:
                         last_error = exc
                         continue
@@ -754,6 +747,9 @@ class RemoteTransport:
                 try:
                     self._sock.sendall(payload)
                     line = self._rfile.readline()
+                    if not line:
+                        raise PCPError("connection to pmcd lost")
+                    response = decode_response(line)  # raises if truncated
                 except socket.timeout:
                     self.timeouts += 1
                     last_error = PCPTimeout(
@@ -764,26 +760,12 @@ class RemoteTransport:
                     # request can read the stale response.
                     self._teardown()
                     continue
-                except OSError as exc:
+                except (OSError, PCPError) as exc:
                     last_error = exc
                     if not self.auto_reconnect:
                         break
                     continue
-                if not line:
-                    last_error = PCPError("connection to pmcd lost")
-                    if not self.auto_reconnect:
-                        break
-                    continue
-                try:
-                    response = decode_response(line)
-                except PCPError as exc:  # truncated/corrupt PDU
-                    last_error = exc
-                    if not self.auto_reconnect:
-                        break
-                    continue
-                elapsed = time.monotonic() - started
-                self._latency_sum += elapsed
-                self._latency_max = max(self._latency_max, elapsed)
+                self.record_latency(time.monotonic() - started)
                 return response
         if isinstance(last_error, PCPError):
             raise last_error
@@ -793,46 +775,19 @@ class RemoteTransport:
 
     # ------------------------------------------------------------------
     @property
-    def pmns(self):
-        if self._pmns is None:
-            self._pmns = _RemotePMNS(self)
-        return self._pmns
+    def pmns(self) -> "RemoteTransport":
+        return self
+
+    def traverse(self, prefix: str = "") -> List[str]:
+        """All metric names under ``prefix`` on the remote daemon."""
+        return _drive(_SessionState._walk(prefix), self.handle)
 
     def transport_stats(self) -> Dict[str, float]:
         """Client-side service counters (latency, retries, reconnects)."""
-        served = max(1, self.requests)
-        return {
-            "requests": self.requests,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "reconnects": self.reconnects,
-            "latency_avg_usec": int(self._latency_sum / served * 1e6),
-            "latency_max_usec": int(self._latency_max * 1e6),
-        }
+        return self.snapshot()
 
     def close(self) -> None:
         self._teardown()
-
-
-class _RemotePMNS:
-    """Remote PMNS traversal via ChildrenRequest PDUs."""
-
-    def __init__(self, remote: RemoteTransport):
-        self._remote = remote
-
-    def traverse(self, prefix: str = ""):
-        response = self._remote.handle(ChildrenRequest(prefix=prefix))
-        if response.status != PCPStatus.OK:
-            raise PCPError(f"unknown PMNS prefix {prefix!r}")
-        for child, leaf in zip(response.children, response.leaf_flags):
-            path = f"{prefix}.{child}" if prefix else child
-            if leaf:
-                yield path
-            else:
-                yield from self.traverse(path)
-
-
-AddressLike = Union[str, Tuple[str, int]]
 
 
 def _parse_address(target) -> Optional[Tuple[str, int]]:

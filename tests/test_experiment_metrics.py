@@ -2,18 +2,19 @@
 
 Each experiment runs once, with the sweep its figure uses, and an
 extractor below reads the result into a flat dict of named metrics;
-``tests/experiment_metrics.json`` freezes their values. A metric whose
-name ends ``_dev``, ``_err``, ``_gap`` or ``_excess`` is a deviation:
-it may shrink freely and grow by at most the tolerance. Every other
-metric must stay within the tolerance either way. The tolerance is
-``0.01 + 0.1 * |frozen|``. The golden fixtures pin the same tables bit
-for bit at the default seed; these tests pin the quantities the paper's
-claims are about at a second seed, and assert the claims themselves on
-the same runs.
+``tests/experiment_metrics.json`` freezes their values. Every
+experiment is deterministic, so a metric must equal its frozen value:
+an integer exactly, a float to a relative ``1e-9`` (room for float
+formatting, not for a model change), whichever way it moves. A
+deviation that shrinks is a change too: refreeze it deliberately. The
+golden fixtures pin the same tables bit for bit at the default seed;
+these tests pin the quantities the paper's claims are about at a second
+seed, and assert the claims themselves on the same runs.
 """
 
 import functools
 import json
+import math
 import pathlib
 
 import pytest
@@ -24,24 +25,23 @@ from repro.experiments.ablations import OBSERVED, OBSERVED_WITH_FLAG
 SEED = 20230613
 FIXTURE = pathlib.Path(__file__).parent / "experiment_metrics.json"
 FROZEN = json.loads(FIXTURE.read_text())
-DEVIATION_SUFFIXES = ("_dev", "_err", "_gap", "_excess")
+REL_TOL = 1e-9
 
 
 def frozen_drift(metrics, frozen):
-    """The metrics that moved past their tolerance, one line each."""
+    """The metrics that moved from their frozen value, one line each."""
     drift = []
     for key, want in frozen.items():
         if key not in metrics:
             drift.append(f"{key}: missing")
             continue
         got = metrics[key]
-        tol = 0.01 + 0.1 * abs(want)
-        if key.endswith(DEVIATION_SUFFIXES):
-            moved = got > want + tol
+        if isinstance(want, int):
+            moved = got != want
         else:
-            moved = abs(got - want) > tol
+            moved = not math.isclose(got, want, rel_tol=REL_TOL)
         if moved:
-            drift.append(f"{key}: {got!r}, frozen {want!r} +/- {tol:.4g}")
+            drift.append(f"{key}: {got!r}, frozen {want!r}")
     return drift
 
 
@@ -325,13 +325,24 @@ def test_metrics_match_frozen(experiment_id):
 
 
 def test_drift_rule():
-    frozen = {"ratio": 2.0, "read_dev": 0.5}
-    assert frozen_drift({"ratio": 2.2, "read_dev": 0.0}, frozen) == []
-    assert frozen_drift({"ratio": 1.78, "read_dev": 0.55}, frozen) == [
-        "ratio: 1.78, frozen 2.0 +/- 0.21"]
-    assert frozen_drift({"ratio": 2.0, "read_dev": 0.57}, frozen) == [
-        "read_dev: 0.57, frozen 0.5 +/- 0.06"]
-    assert frozen_drift({"read_dev": 0.5}, frozen) == ["ratio: missing"]
+    frozen = {"ratio": 2.0, "read_dev": 0.5, "zero_dev": 0.0, "events": 32}
+    exact = {"ratio": 2.0, "read_dev": 0.5, "zero_dev": 0.0, "events": 32}
+    assert frozen_drift(exact, frozen) == []
+    # A float may differ by formatting noise, relative 1e-9, either way.
+    assert frozen_drift(dict(exact, ratio=2.0 * (1 + 5e-10),
+                             read_dev=0.5 * (1 - 5e-10)), frozen) == []
+    assert frozen_drift(dict(exact, ratio=2.0 * (1 + 2e-9)), frozen) == [
+        f"ratio: {2.0 * (1 + 2e-9)!r}, frozen 2.0"]
+    # Two-sided: a deviation that shrinks has moved too.
+    assert frozen_drift(dict(exact, read_dev=0.49), frozen) == [
+        "read_dev: 0.49, frozen 0.5"]
+    assert frozen_drift(dict(exact, zero_dev=1e-12), frozen) == [
+        "zero_dev: 1e-12, frozen 0.0"]
+    # Integers compare exactly.
+    assert frozen_drift(dict(exact, events=33), frozen) == [
+        "events: 33, frozen 32"]
+    assert frozen_drift({"read_dev": 0.5, "zero_dev": 0.0, "events": 32},
+                        frozen) == ["ratio: missing"]
 
 
 # ------------------------------------------------------------- shape claims

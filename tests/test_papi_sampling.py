@@ -268,8 +268,9 @@ class TestFrozenAccuracy:
     against 512 KiB misses on ~3.6% of its 33.6M accesses, dense
     enough that rare-event variance cannot mask a broken estimator; the
     N=128 sweep spans a 16x sample rate. Every swept estimate lands
-    within 5% of the exact traffic. Tolerances follow
-    tests/test_experiment_metrics.py."""
+    within 5% of the exact traffic. The observer is deterministic, so
+    each metric must equal its frozen value to a relative 1e-9 (the
+    rule of tests/test_experiment_metrics.py)."""
 
     #: (N, cache KiB, period) -> frozen metrics at :data:`FROZEN_SEED`
     FROZEN = {

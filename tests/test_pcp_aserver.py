@@ -1,21 +1,22 @@
 """The asyncio multi-tenant PMCD fabric.
 
 Covers the fabric's service invariants directly — shard coalescing,
-supervisor-driven worker recovery, executor offload, the v2 handshake
-and archive serving over TCP — plus the disconnect-accounting
-regression.
+supervisor-driven worker recovery, the v2 handshake and archive
+serving over TCP, fetch accounting on the daemon's counters — plus the
+disconnect-accounting regression.
 """
 
 import asyncio
 
 import pytest
 
+from repro.counters import Counters
 from repro.machine.config import SUMMIT
 from repro.machine.node import Node
 from repro.noise import QUIET
 from repro.pcp import connect, protocol
 from repro.pcp.archive import MetricArchive
-from repro.pcp.aserver import AsyncPMCDServer, FabricStats
+from repro.pcp.aserver import AsyncPMCDServer
 from repro.pcp.faults import FaultInjector
 from repro.pcp.pmcd import start_pmcd_for_node
 from repro.pmu.events import pcp_metric_name
@@ -127,18 +128,22 @@ class TestFabricBasics:
 
         run_fabric(pmcd, scenario)
 
-    def test_executor_offload(self, pmcd):
-        domain = pmcd.agents[0].domain
-
+    def test_one_fetch_moves_the_daemon_counters_once(self, pmcd):
+        """A fetch the fabric serves is counted by the daemon exactly as
+        an in-process one: one request, one fetch, one PMDA read per
+        PMID."""
         async def scenario(server):
             async with connect(server, mode="async") as session:
                 pmids = await session.lookup_names(METRICS)
-                values = await session.fetch(pmids)
-                assert set(values) == set(pmids)
-                return server.stats.snapshot()
+                before = pmcd.stats.snapshot()
+                await session.fetch(pmids)
+                after = pmcd.stats.snapshot()
+            return {key: after[key] - before[key] for key in after}
 
-        stats = run_fabric(pmcd, scenario, executor_domains=(domain,))
-        assert stats["executor_reads"] > 0
+        moved = run_fabric(pmcd, scenario)
+        assert moved["fetches"] == 1
+        assert moved["requests"] == 1
+        assert moved["pmda_fetch_calls"] == len(METRICS)
 
 
 class TestShardRecovery:
@@ -261,9 +266,16 @@ class TestDisconnectAccounting:
         assert stats["disconnects"] == stats["connections"]
 
 
-class TestFabricStats:
+class TestCounters:
+    def test_counts_by_attribute_and_snapshot(self):
+        stats = Counters("requests", "errors")
+        stats.requests += 2
+        assert stats.errors == 0
+        assert stats.snapshot() == {"requests": 2, "errors": 0}
+
     def test_latency_accounting(self):
-        stats = FabricStats()
+        stats = Counters("requests", latency=True)
+        assert stats.snapshot()["latency_avg_usec"] == 0
         stats.record_latency(0.001)
         stats.record_latency(0.003)
         snap = stats.snapshot()

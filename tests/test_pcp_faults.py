@@ -6,6 +6,8 @@ PCPError), truncated PDUs, and daemon restart mid-session (gap flag,
 never corrupted counters).
 """
 
+import asyncio
+
 import pytest
 
 from repro.errors import PCPError, PCPTimeout
@@ -150,6 +152,60 @@ class TestTimeoutRetryBackoff:
                 client.fetch(pmids)
             for pmid in pmids:
                 assert set(client.fetch([pmid])) == {pmid}
+
+
+class TestAsyncTimeout:
+    """An async session that times out drops its connection.
+
+    Regression: the session kept the socket after a timeout, so the
+    late reply to the timed-out fetch answered the next one, keyed by
+    the wrong PMID.
+    """
+
+    def test_late_reply_never_answers_the_next_fetch(self, node):
+        faults = FaultInjector()
+        pmcd = start_pmcd_for_node(node, round_trip_seconds=0.0)
+
+        async def scenario():
+            server = await AsyncPMCDServer(
+                pmcd, fault_injector=faults).start()
+            try:
+                async with connect(server, mode="async",
+                                   request_timeout=0.1) as session:
+                    pmid_a, pmid_b = await session.lookup_names(METRICS[:2])
+                    faults.slow_responses(1, seconds=0.3)
+                    with pytest.raises(PCPTimeout):
+                        await session.fetch([pmid_a])
+                    # Let the late reply reach the client's socket.
+                    await asyncio.sleep(0.4)
+                    return pmid_b, await session.fetch([pmid_b])
+            finally:
+                await server.stop()
+
+        pmid_b, values = asyncio.run(scenario())
+        assert set(values) == {pmid_b}
+
+    def test_lost_connection_redials_on_the_next_request(self, node):
+        faults = FaultInjector()
+        pmcd = start_pmcd_for_node(node, round_trip_seconds=0.0)
+
+        async def scenario():
+            server = await AsyncPMCDServer(
+                pmcd, fault_injector=faults).start()
+            try:
+                session = connect(server, mode="async", request_timeout=5.0)
+                pmids = await session.lookup_names(METRICS)
+                faults.drop_connections(1)
+                with pytest.raises(PCPError):
+                    await session.fetch(pmids)
+                values = await session.fetch(pmids)
+                await session.close()
+                return pmids, values
+            finally:
+                await server.stop()
+
+        pmids, values = asyncio.run(scenario())
+        assert set(values) == set(pmids)
 
 
 class TestDaemonRestart:

@@ -128,9 +128,9 @@ class TestPMCD:
         assert response.status == PCPStatus.PM_ERR_PERMISSION
 
     def test_fetch_count_increments(self, pmcd):
-        before = pmcd.fetch_count
+        before = pmcd.stats.fetches
         pmcd.handle(FetchRequest(pmids=()))
-        assert pmcd.fetch_count == before + 1
+        assert pmcd.stats.fetches == before + 1
 
 
 class TestClientContext:
