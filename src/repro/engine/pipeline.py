@@ -12,23 +12,24 @@ of materializing it first:
   segments — into that stream;
 * the producer (parent process) resolves store-bypass once per nest,
   simulates bypassed stores through its private write-combining
-  buffer (a global FIFO a set partition would not preserve),
-  sector-expands the remaining rows *once*, computes each row's set
-  shard, and writes the columns into a slot of a **shared-memory
-  segment ring** (a mmapped temp file — visible to workers through
-  the page cache, no pickling);
+  buffer (a global FIFO a set partition would not preserve), and
+  alone checks and sector-expands the remaining rows, once. It
+  writes each row's split address, write flag and set shard (10 B;
+  no size) into a slot of a **shared-memory segment ring** (a
+  mmapped temp file — visible to workers through the page cache);
 * a **persistent pool** of shard workers — spawned once per engine,
   reused across nests and kernels — consumes slots as they land.
-  Worker *i* owns the sets with ``(line % n_sets) % n_workers == i``;
-  it masks its rows out of each segment and advances its private
+  Worker *i* owns the sets with ``(line % n_sets) % n_workers == i``
+  and simulates its rows of each slot in place, in its private
   :class:`CacheSim`. Generation of segment *k+1* overlaps simulation
   of segment *k*.
 
 Backpressure: the ring has ``ring_depth`` slots; slot ``seq %
 ring_depth`` is rewritten only after **every** worker acknowledged
-segment ``seq - ring_depth``, so a slow consumer stalls the producer
-instead of buffering without bound, and peak RSS stays bounded by the
-ring regardless of trace length.
+segment ``seq - ring_depth``, and a worker acks only after simulating
+(so it may read the slot in place). A slow consumer stalls the
+producer instead of buffering without bound, and peak RSS stays
+bounded by the ring regardless of trace length.
 
 Correctness argument (DESIGN.md §6.3): replacement state of a
 set-associative cache is independent per set and every
@@ -38,8 +39,8 @@ its private queue and filters a *stable* subsequence, so each set's
 access sequence is simulated exactly as the single-process engine
 would — per-worker counters sum to the monolithic totals, bit for
 bit. Segment boundaries are invisible to the simulator because state
-carries across ``access_batch`` calls, and each nest ends in a flush,
-so nests stay independent.
+carries across calls, and each nest ends in a flush, so nests stay
+independent.
 
 ``run_many()`` schedules several kernels back-to-back through the
 same pool: per-worker queues are ordered, so the producer can start
@@ -50,10 +51,10 @@ resumes after the last completed kernel; this is the engines' only
 resume scheme.
 
 ``n_workers=0`` selects an **inline** mode with no worker processes:
-segments stream through a single simulator in the parent. On a
-single-core host this degrades gracefully to the fastest possible
-configuration (no IPC at all) while exercising the identical
-segment/bypass/flush logic — it is also what the hypothesis
+the expanded rows stream through a single simulator in the parent.
+On a single-core host this degrades gracefully to the fastest
+possible configuration (no IPC at all) while exercising the identical
+segment/bypass/expand/flush logic — it is also what the hypothesis
 equivalence tests drive.
 """
 
@@ -103,8 +104,8 @@ from .stream import BatchTrace, StreamDecl
 from .trace import KernelModel, kernel_fingerprint
 
 #: Ring slot column layout: (name, dtype, bytes per row).
-_SLOT_COLUMNS = (("addr", "<i8", 8), ("size", "<i4", 4),
-                 ("shard", "|u1", 1), ("is_write", "|b1", 1))
+_SLOT_COLUMNS = (("addr", "<i8", 8), ("shard", "|u1", 1),
+                 ("is_write", "|b1", 1))
 _SLOT_ROW_BYTES = sum(width for _, _, width in _SLOT_COLUMNS)
 
 #: Seconds between worker-liveness checks while the producer waits.
@@ -170,12 +171,13 @@ def _worker_main(worker_id: int, n_workers: int, ring_path: str,
     """Shard-worker loop: lives for the whole engine, one nest at a
     time. Messages arrive in program order through the private queue:
     ``("begin",)`` → fresh simulator, ``("seg", slot, rows, seq)`` →
-    take the rows of slot ``slot`` whose shard is ``worker_id`` (all
-    rows when it is the only worker) then ack, ``("end", nest_id)`` →
-    flush and report counters, ``("stop",)`` → exit."""
+    simulate, in place, the rows of slot ``slot`` whose shard is
+    ``worker_id`` (all when it is the only worker) then ack, ``("end",
+    nest_id)`` → flush and report counters, ``("stop",)`` → exit.
+    The rows are checked and sector-split already, and the producer
+    rewrites a slot only after every worker acked it."""
     sim = None
     busy = 0.0
-    rows_owned = 0
     try:
         with open(ring_path, "rb") as handle:
             ring = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
@@ -186,28 +188,16 @@ def _worker_main(worker_id: int, n_workers: int, ring_path: str,
             if kind == "begin":
                 sim = CacheSim(config, policy=policy)
                 busy = 0.0
-                rows_owned = 0
             elif kind == "seg":
                 _, slot, rows, seq = msg
                 start = time.perf_counter()
                 cols = views[slot]
                 addr = cols["addr"][:rows]
-                size = cols["size"][:rows]
                 is_write = cols["is_write"][:rows]
                 if n_workers > 1:
-                    mask = cols["shard"][:rows] == worker_id
-                    addr = addr[mask]
-                    size = size[mask]
-                    is_write = is_write[mask]
-                else:
-                    # Copy out of the slot before acking: the parent
-                    # may rewrite it once the seq is fully acked.
-                    addr = addr.copy()
-                    size = size.copy()
-                    is_write = is_write.copy()
-                if addr.size:
-                    sim.access_batch(addr, size.astype(np.int64), is_write)
-                    rows_owned += int(addr.size)
+                    mine = cols["shard"][:rows] == worker_id
+                    addr, is_write = addr[mine], is_write[mine]
+                sim.access_sectors(addr, is_write)
                 busy += time.perf_counter() - start
                 result_q.put(("ack", worker_id, seq))
             elif kind == "end":
@@ -218,7 +208,7 @@ def _worker_main(worker_id: int, n_workers: int, ring_path: str,
                 result_q.put((
                     "done", worker_id, nest_id,
                     sim.traffic.read_bytes, sim.traffic.write_bytes,
-                    sim.stats_hits, sim.stats_misses, busy, rows_owned))
+                    sim.stats_hits, sim.stats_misses, busy))
                 sim = None
             elif kind == "stop":
                 return
@@ -453,7 +443,7 @@ class PipelinedExactEngine:
         return self._acks.get(seq, 0) >= self.n_workers
 
     # ------------------------------------------------------- producing
-    def _submit_segment(self, c_addr, c_size, c_write, shard,
+    def _submit_segment(self, c_addr, c_write, shard,
                         stats: Dict[str, float]) -> None:
         """Write expanded columns into ring slots, ``segment_rows``
         rows per slot, and announce each slot to every worker with a
@@ -480,7 +470,6 @@ class PipelinedExactEngine:
             stats["depth_max"] = max(stats["depth_max"], in_flight)
             cols = self._views[slot]
             cols["addr"][:rows] = c_addr[lo:hi]
-            cols["size"][:rows] = c_size[lo:hi]
             cols["is_write"][:rows] = c_write[lo:hi]
             if shard is not None:
                 cols["shard"][:rows] = shard[lo:hi]
@@ -494,8 +483,9 @@ class PipelinedExactEngine:
                       bypass: Dict[str, bool], sim_inline,
                       stats: Dict[str, float]) -> None:
         """Stream one nest's segments: bypassed stores through the
-        parent WCB, the rest expanded + sharded into the ring (pool
-        mode) or simulated in place (inline mode)."""
+        parent WCB; the rest checked and sector-expanded, by no other
+        stage, then simulated here (inline mode) or sharded into the
+        ring (pool mode)."""
         cfg = self.cache_config
         for segment in segments:
             if not len(segment):
@@ -517,24 +507,27 @@ class PipelinedExactEngine:
             if not addr.size:
                 stats["producer_s"] += time.perf_counter() - start
                 continue
+            # Checked before expansion, which would drop a zero-size
+            # row without a word.
+            if int(size.min()) <= 0:
+                raise SimulationError(
+                    f"access size must be positive, got {int(size.min())}")
+            c_addr, _, c_write, _ = expand_to_sectors(
+                addr.astype(np.int64, copy=False), size, is_write, None,
+                cfg.granule_bytes)
+            stats["expanded_rows"] += int(c_addr.size)
             if sim_inline is not None:
-                sim_inline.access_batch(addr, size.astype(np.int64),
-                                        is_write)
-                stats["expanded_rows"] += int(addr.size)
+                sim_inline.access_sectors(c_addr, c_write)
                 stats["segments"] += 1
                 stats["producer_s"] += time.perf_counter() - start
                 continue
-            c_addr, c_size, c_write, _ = expand_to_sectors(
-                addr.astype(np.int64), size.astype(np.int64),
-                is_write, None, cfg.granule_bytes)
-            stats["expanded_rows"] += int(c_addr.size)
             shard = None
             if self.n_workers > 1:
                 line = c_addr // cfg.line_bytes
                 shard = ((line % cfg.n_sets)
                          % self.n_workers).astype(np.uint8)
             stats["producer_s"] += time.perf_counter() - start
-            self._submit_segment(c_addr, c_size, c_write, shard, stats)
+            self._submit_segment(c_addr, c_write, shard, stats)
 
     # ---------------------------------------------------------- public
     def run_nest(self, streams: Iterable[StreamDecl],
@@ -648,8 +641,7 @@ class PipelinedExactEngine:
                         sim_inline.traffic.read_bytes,
                         sim_inline.traffic.write_bytes,
                         sim_inline.stats_hits, sim_inline.stats_misses,
-                        time.perf_counter() - start,
-                        stats["expanded_rows"])}
+                        time.perf_counter() - start)}
                 else:
                     self._broadcast(("end", nest_id))
                     self._drain()
@@ -712,7 +704,7 @@ class PipelinedExactEngine:
             nest_hits = 0
             nest_misses = 0
             for wid in sorted(done):
-                r, w, h, m, busy, _rows = done[wid]
+                r, w, h, m, busy = done[wid]
                 total.read_bytes += r
                 total.write_bytes += w
                 nest_hits += h

@@ -528,6 +528,14 @@ class CacheSim:
                 keep = ~wcb_mask
                 c_addr = c_addr[keep]
                 c_write = c_write[keep]
+        self.access_sectors(c_addr, c_write, chunk_size=chunk_size)
+
+    def access_sectors(self, c_addr, c_write, *,
+                       chunk_size: int = DEFAULT_BATCH_CHUNK) -> None:
+        """:meth:`access_batch` on rows its caller already checked and
+        split at sector boundaries (int64 addresses and boolean write
+        flags, as :func:`expand_to_sectors` returns them), none
+        bypassed: neither step runs again."""
         if c_addr.size:
             self._cached_batch(c_addr, c_write, chunk_size)
 

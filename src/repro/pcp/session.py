@@ -669,11 +669,11 @@ class RemoteTransport(Counters):
     to ``max_retries`` times with exponential backoff. A timed-out
     attempt closes its socket, because the byte stream may still carry
     the stale response (which would cross-wire every request after
-    it); the next attempt, in this call or a later one, dials afresh.
-    With ``auto_reconnect=True`` the transport also re-dials after the
-    daemon drops the connection (e.g. a restart) — the daemon's
-    ``boot_id`` then tells the :class:`PcpSession` to flag a
-    measurement gap.
+    it), and so does an attempt whose line was lost or garbled; the
+    next attempt, in this call or a later one, dials afresh. A lost
+    line is retried within the call only with ``auto_reconnect=True``
+    (e.g. across a daemon restart) — the daemon's ``boot_id`` then
+    tells the :class:`PcpSession` to flag a measurement gap.
 
     The transport's counters are its own attributes: ``requests``,
     ``retries``, ``timeouts``, ``reconnects`` and the latency of the
@@ -762,6 +762,9 @@ class RemoteTransport(Counters):
                     continue
                 except (OSError, PCPError) as exc:
                     last_error = exc
+                    # A lost or garbled line leaves a dead socket: the
+                    # next attempt, or the next call, dials afresh.
+                    self._teardown()
                     if not self.auto_reconnect:
                         break
                     continue

@@ -11,6 +11,7 @@ totals, an aborted run must leave nothing behind for the next, and a
 pool that had to be terminated is reported, never silently dropped.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -31,6 +32,7 @@ from repro.engine.envconfig import (
 from repro.engine.exact import ExactEngine
 from repro.engine.loopnest import AffineAccess, LoopNest
 from repro.engine.pipeline import PipelinedExactEngine
+from repro.engine.stream import BatchTrace, StreamDecl
 from repro.errors import SimulationError
 from repro.fft3d.decomp import LocalBlock
 from repro.fft3d.resort import S1CB, S2CF
@@ -267,6 +269,84 @@ class TestPooledPipeline:
         eng.close()
         assert (traffic.read_bytes, traffic.write_bytes) == ref[:2]
         assert (traffic2.read_bytes, traffic2.write_bytes) == ref[:2]
+
+
+# ----------------------------------------------------------------------
+# one check and one expansion per segment, in the producer
+# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class BadSizeDot(Dot):
+    """DOT whose first segment holds one access of size ``bad``,
+    passed through ``BatchTrace.trusted`` (which skips the column
+    checks, as kernel emitters do). The access sits at a 64 B-aligned
+    address and the segment's first access crosses a granule, so
+    ``expand_to_sectors`` alone would drop it without a word."""
+
+    bad: int = 0
+
+    def segments(self, target_rows=None):
+        for k, segment in enumerate(super().segments(target_rows)):
+            if k == 0:
+                size = segment.size.copy()
+                size[0] = 200
+                aligned = np.flatnonzero(segment.addr[1:] % 64 == 0)
+                size[aligned[0] + 1] = self.bad
+                segment = BatchTrace.trusted(
+                    segment.streams, segment.stream_id, segment.addr,
+                    size, segment.is_write)
+            yield segment
+
+
+def straddling_nest(n=3000):
+    """Reads of 24 B at a 40 B stride interleaved with writes of 12 B
+    at a 20 B stride: many rows cross a 64 B granule."""
+    i = np.arange(n, dtype=np.int64)
+    base_b = 1 << 20
+    addr = np.empty(2 * n, dtype=np.int64)
+    addr[0::2] = i * 40
+    addr[1::2] = base_b + i * 20
+    size = np.tile(np.array([24, 12], dtype=np.int32), n)
+    is_write = np.tile(np.array([False, True]), n)
+    trace = BatchTrace(("a", "b"), is_write.astype(np.int16), addr, size,
+                       is_write)
+    streams = [StreamDecl("a", False, n, 24, 40, n * 40),
+               StreamDecl("b", True, n, 12, 20, n * 20, base=base_b)]
+    return streams, trace
+
+
+class TestOneExpansion:
+    """The producer alone checks and sector-expands each segment, in
+    every mode: the same rule refuses a bad size and the same rows
+    reach the simulators."""
+
+    @pytest.mark.parametrize("bad", [0, -8])
+    @pytest.mark.parametrize("n_workers", [0, 1, 2])
+    def test_nonpositive_size_raises_then_engine_runs_clean(
+            self, n_workers, bad):
+        ref = batch_reference(Dot(300))
+        with PipelinedExactEngine(SMALL, n_workers=n_workers,
+                                  segment_rows=256) as eng:
+            with pytest.raises(SimulationError,
+                               match="access size must be positive"):
+                eng.run_many([Dot(200), BadSizeDot(300, bad=bad)])
+            traffic, = eng.run_many([Dot(300)])
+            assert pipelined_state(eng, traffic) == ref
+
+    def test_straddling_rows_identical_in_every_mode(self):
+        streams, trace = straddling_nest()
+        eng = ExactEngine(SMALL)
+        traffic = eng.run_nest(streams, trace)
+        ref = (traffic.read_bytes, traffic.write_bytes,
+               eng.sim.stats_hits, eng.sim.stats_misses)
+        expanded = set()
+        for n_workers in (0, 1, 2):
+            with PipelinedExactEngine(SMALL, n_workers=n_workers,
+                                      segment_rows=1000) as piped:
+                traffic = piped.run_nest(streams, trace)
+                assert pipelined_state(piped, traffic) == ref, n_workers
+                expanded.add(piped.last_pipeline_stats["expanded_rows"])
+        assert len(expanded) == 1
+        assert expanded.pop() > len(trace)
 
 
 # ----------------------------------------------------------------------

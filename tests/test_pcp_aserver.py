@@ -73,18 +73,17 @@ class TestFabricBasics:
         assert stats["responses"] == 2
 
     def test_handshake_and_archive_over_tcp(self, pmcd, node, tmp_path):
-        store = MetricArchive.create(str(tmp_path / "arch"))
-        logger = connect(pmcd, node=node).log([METRIC], store=store)
-        logger.run(3)
-        pmcd.attach_archive(store)
-
         async def scenario(server):
             async with connect(server, mode="async") as session:
                 assert (await session.handshake()
                         == protocol.PROTOCOL_VERSION)
                 return await session.fetch_archive([METRIC])
 
-        assert run_fabric(pmcd, scenario) == logger.archive
+        with MetricArchive.create(str(tmp_path / "arch")) as store:
+            logger = connect(pmcd, node=node).log([METRIC], store=store)
+            logger.run(3)
+            pmcd.attach_archive(store)
+            assert run_fabric(pmcd, scenario) == logger.archive
 
     def test_concurrent_sessions_not_cross_wired(self, pmcd):
         async def scenario(server):

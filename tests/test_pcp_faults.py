@@ -153,6 +153,19 @@ class TestTimeoutRetryBackoff:
             for pmid in pmids:
                 assert set(client.fetch([pmid])) == {pmid}
 
+    def test_dropped_transport_recovers_without_auto_reconnect(
+            self, server, faults):
+        """A call that loses its connection raises and leaves no dead
+        socket behind: the next call dials afresh, even with
+        auto_reconnect off."""
+        with connect(server, auto_reconnect=False) as client:
+            pmids = client.lookup_names(METRICS)
+            faults.drop_connections(1)
+            with pytest.raises(PCPError, match="connection to pmcd lost"):
+                client.fetch(pmids)
+            for pmid in pmids:
+                assert set(client.fetch([pmid])) == {pmid}
+
 
 class TestAsyncTimeout:
     """An async session that times out drops its connection.

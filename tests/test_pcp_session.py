@@ -217,16 +217,16 @@ class TestAsyncSession:
 
     def test_archive_replay_async(self, pmcd, node, tmp_path):
         session = connect(pmcd, node=node)
-        store = MetricArchive.create(str(tmp_path / "arch"))
-        logger = session.log([METRIC], store=store)
-        logger.run(3)
-        pmcd.attach_archive(store)
 
         async def go():
             async with connect(pmcd, mode="async") as asession:
                 return await asession.fetch_archive([METRIC])
 
-        assert self.run(go()) == logger.archive
+        with MetricArchive.create(str(tmp_path / "arch")) as store:
+            logger = session.log([METRIC], store=store)
+            logger.run(3)
+            pmcd.attach_archive(store)
+            assert self.run(go()) == logger.archive
 
     def test_daemon_overhead_keys(self, pmcd, node):
         session = connect(pmcd, node=node)
